@@ -3,7 +3,12 @@
 // bound simulator throughput, not the modelled hardware.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+
 #include "alg/molecule.h"
+#include "baselines/molen.h"
+#include "baselines/onechip.h"
 #include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/prng.h"
@@ -408,25 +413,51 @@ const bench::BenchContext& cached_context() {
 }
 
 // Scalar vs run-batched replay of the cached H.264 bench trace (items =
-// SI execution events). The ratio of the two items/sec rates is the
-// fast-forward speedup the sweeps enjoy.
+// SI execution events) at 17 ACs, for the RTM (HEF), Molen and OneChip —
+// the three backends that share the window core (sim/window_replay.h). The
+// ratio of the two items/sec rates is the fast-forward speedup the sweeps
+// enjoy. Args: {0 scalar | 1 batched, 0 RTM | 1 Molen | 2 OneChip}.
 void BM_TraceReplay(benchmark::State& state) {
   const auto& ctx = cached_context();
   const auto mode = state.range(0) == 0 ? ReplayMode::kScalar : ReplayMode::kBatched;
   const HefScheduler hef;
-  for (auto _ : state) {
+  constexpr unsigned kAcs = 17;
+  const auto make_backend = [&]() -> std::unique_ptr<ExecutionBackend> {
+    const std::size_t hot_spots = ctx.trace.hot_spots.size();
+    if (state.range(1) == 1) {
+      MolenConfig config;
+      config.container_count = kAcs;
+      auto molen = std::make_unique<MolenBackend>(&ctx.set, hot_spots, config);
+      h264::seed_default_forecasts(ctx.set, *molen);
+      return molen;
+    }
+    if (state.range(1) == 2) {
+      OneChipConfig config;
+      config.container_count = kAcs;
+      auto onechip = std::make_unique<OneChipBackend>(&ctx.set, hot_spots, config);
+      h264::seed_default_forecasts(ctx.set, *onechip);
+      return onechip;
+    }
     RtmConfig config;
-    config.container_count = 17;
+    config.container_count = kAcs;
     config.scheduler = &hef;
-    RunTimeManager rtm(&ctx.set, ctx.trace.hot_spots.size(), config);
-    h264::seed_default_forecasts(ctx.set, rtm);
-    benchmark::DoNotOptimize(run_trace(ctx.trace, rtm, nullptr, mode));
+    auto rtm = std::make_unique<RunTimeManager>(&ctx.set, hot_spots, config);
+    h264::seed_default_forecasts(ctx.set, *rtm);
+    return rtm;
+  };
+  std::string backend_name;
+  for (auto _ : state) {
+    const std::unique_ptr<ExecutionBackend> backend = make_backend();
+    backend_name = backend->name();
+    benchmark::DoNotOptimize(run_trace(ctx.trace, *backend, nullptr, mode));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ctx.trace.total_si_executions()));
-  state.SetLabel(mode == ReplayMode::kScalar ? "scalar" : "batched");
+  state.SetLabel((mode == ReplayMode::kScalar ? "scalar " : "batched ") + backend_name);
 }
-BENCHMARK(BM_TraceReplay)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceReplay)
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
 
 // parallel_for scaling: the same cell workload fanned over 1, 2 and N
 // threads. Cells are small RTM runs on a short synthetic trace, matching

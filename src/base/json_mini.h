@@ -36,9 +36,16 @@ struct JsonValue {
 };
 
 struct JsonParser {
+  /// Deepest array/object nesting accepted. Parsing recurses once per level,
+  /// so an unbounded depth would let a hostile file overflow the stack.
+  static constexpr int kMaxDepth = 256;
+
+  explicit JsonParser(const std::string& input) : text(input) {}
+
   const std::string& text;
   std::size_t pos = 0;
   std::string error;
+  int depth = 0;
 
   bool fail(const std::string& message) {
     if (error.empty())
@@ -54,8 +61,14 @@ struct JsonParser {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth)
+        return fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      ++depth;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth;
+      return ok;
+    }
     if (c == '"') {
       out.kind = JsonValue::Kind::kString;
       return parse_string(out.string);
@@ -189,7 +202,7 @@ struct JsonParser {
 /// Parses `text` as exactly one JSON document. Returns true on success;
 /// otherwise `error` describes the failure (including trailing garbage).
 inline bool parse_document(const std::string& text, JsonValue& out, std::string& error) {
-  JsonParser parser{text, 0, {}};
+  JsonParser parser(text);
   if (!parser.parse_value(out)) {
     error = parser.error;
     return false;

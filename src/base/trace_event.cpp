@@ -399,7 +399,6 @@ void init_trace_from_env() {
 
 namespace {
 
-using jsonmini::JsonParser;
 using jsonmini::JsonValue;
 
 std::optional<double> event_number(const JsonValue& event, std::string_view key) {
@@ -417,10 +416,7 @@ std::optional<std::string> validate_chrome_trace(std::istream& in, TraceValidati
   if (text.empty()) return "empty input";
 
   JsonValue root;
-  JsonParser parser{text, 0, {}};
-  if (!parser.parse_value(root)) return parser.error;
-  parser.skip_ws();
-  if (parser.pos != text.size()) return "trailing garbage after the JSON value";
+  if (std::string error; !jsonmini::parse_document(text, root, error)) return error;
 
   const JsonValue* events = nullptr;
   if (root.kind == JsonValue::Kind::kArray) {

@@ -8,7 +8,8 @@ namespace rispp {
 
 MolenBackend::MolenBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                            const MolenConfig& config)
-    : set_(set),
+    : WindowedBackend(set->si_count(), monitor_, type_last_used_),
+      set_(set),
       config_(config),
       monitor_(hot_spot_count, set->si_count()),
       containers_(config.container_count, set->atom_type_count()),
@@ -18,11 +19,8 @@ MolenBackend::MolenBackend(const SpecialInstructionSet* set, std::size_t hot_spo
       hot_spot_sup_(hot_spot_count, Molecule(set->atom_type_count())),
       type_last_used_(set->atom_type_count(), 0),
       cached_latency_(set->si_count(), 0),
-      selected_molecule_(set->si_count(), kSoftwareMolecule),
-      span_step_gen_(set->si_count(), 0),
-      span_step_(set->si_count(), 0),
-      span_touch_gen_(set->si_count(), 0),
-      span_last_start_(set->si_count(), 0) {}
+      cached_stamp_(set->si_count(), nullptr),
+      selected_molecule_(set->si_count(), kSoftwareMolecule) {}
 
 void MolenBackend::seed_forecast(HotSpotId hs, SiId si, std::uint64_t expected) {
   monitor_.seed(hs, si, expected);
@@ -34,6 +32,7 @@ void MolenBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t ins
 
   const HotSpotId hs = trace.instances[instance].hot_spot;
   const HotSpotInfo& info = trace.hot_spots[hs];
+  bind_instance(trace.instances[instance], info);
   monitor_.begin_hot_spot(hs);
   const auto& forecast = monitor_.forecast(hs);
 
@@ -112,6 +111,10 @@ void MolenBackend::refresh_cache() {
       cached_latency_[si] = set_->si(si).molecule(mol).latency;
     else
       cached_latency_[si] = set_->si(si).software_latency;
+    cached_stamp_[si] = mol != kSoftwareMolecule &&
+                                cached_latency_[si] != set_->si(si).software_latency
+                            ? &set_->si(si).molecule(mol).atoms
+                            : nullptr;
   }
   cache_valid_ = true;
 }
@@ -120,109 +123,18 @@ Cycles MolenBackend::si_execution_latency(SiId si, Cycles now) {
   advance_reconfig(now);
   if (!cache_valid_) refresh_cache();
   monitor_.record_execution(si);
-  const MoleculeId mol = selected_molecule_[si];
-  if (mol != kSoftwareMolecule &&
-      cached_latency_[si] != set_->si(si).software_latency) {
-    const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-    for (std::size_t t = 0; t < atoms.dimension(); ++t)
-      if (atoms[t] != 0) type_last_used_[t] = now;
-  }
+  if (const Molecule* atoms = cached_stamp_[si])
+    for (std::size_t t = 0; t < atoms->dimension(); ++t)
+      if ((*atoms)[t] != 0) type_last_used_[t] = now;
   return cached_latency_[si];
 }
 
-Cycles MolenBackend::si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                              Cycles per_execution_overhead,
-                                              std::vector<LatencySegment>& segments) {
-  // Same fast-forward invariant as the RISPP RTM: the latency of an SI only
-  // changes at reconfiguration-port completions, so a run advances in
-  // O(port events).
-  Cycles total = 0;
-  while (count > 0) {
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const Cycles latency = cached_latency_[si];
-    const Cycles step = latency + per_execution_overhead;
-    std::uint64_t fit = count;
-    if (port_.busy() && step > 0) {
-      const Cycles finish = port_.inflight()->finishes_at;
-      fit = std::min<std::uint64_t>(count, (finish - now + step - 1) / step);
-    }
-    monitor_.record_executions(si, fit);
-    const MoleculeId mol = selected_molecule_[si];
-    if (mol != kSoftwareMolecule && latency != set_->si(si).software_latency) {
-      const Cycles last_start = now + (fit - 1) * step;
-      const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0) type_last_used_[t] = last_start;
-    }
-    append_latency_segment(segments, fit, latency);
-    total += fit * latency;
-    now += fit * step;
-    count -= fit;
-  }
-  return total;
-}
-
-Cycles MolenBackend::si_execution_span(std::span<const SiRun> runs, Cycles now,
-                                       Cycles per_execution_overhead) {
-  // Same port-quiet-window arithmetic as the RISPP RTM (see
-  // RunTimeManager::si_execution_span): between two reconfiguration-port
-  // completions every SI's latency is fixed, so a whole window replays with
-  // one step lookup, one monitor bulk-add and one clock advance per run. LRU
-  // stamps are materialized once per window. Bit-exact with scalar replay.
-  std::size_t i = 0;
-  std::uint64_t remaining = 0;  // rest of runs[i] when a window split it
-  while (i < runs.size()) {
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const bool bounded = port_.busy();
-    const Cycles window_end = bounded ? port_.inflight()->finishes_at : 0;
-    ++span_gen_;
-    span_touched_.clear();
-
-    while (i < runs.size()) {
-      if (bounded && now >= window_end) break;  // next execution sees the load
-      const SiId si = runs[i].si;
-      const std::uint64_t count = remaining > 0 ? remaining : runs[i].count;
-      if (span_step_gen_[si] != span_gen_) {
-        span_step_gen_[si] = span_gen_;
-        span_step_[si] = cached_latency_[si] + per_execution_overhead;
-      }
-      const Cycles step = span_step_[si];
-      std::uint64_t fit = count;
-      if (bounded && step > 0)
-        fit = std::min<std::uint64_t>(count, (window_end - now + step - 1) / step);
-      if (fit > 0) {
-        monitor_.record_executions(si, fit);
-        if (selected_molecule_[si] != kSoftwareMolecule &&
-            cached_latency_[si] != set_->si(si).software_latency) {
-          span_last_start_[si] = now + (fit - 1) * step;
-          if (span_touch_gen_[si] != span_gen_) {
-            span_touch_gen_[si] = span_gen_;
-            span_touched_.push_back(si);
-          }
-        }
-        now += fit * step;
-      }
-      if (fit == count) {
-        ++i;
-        remaining = 0;
-      } else {
-        remaining = count - fit;
-        break;  // window exhausted; reopen at the port completion
-      }
-    }
-
-    // Materialize the LRU stamps while the window's molecules are still
-    // selected (the next advance_reconfig may refresh the cache).
-    for (const SiId si : span_touched_) {
-      const Cycles last = span_last_start_[si];
-      const Molecule& atoms = set_->si(si).molecule(selected_molecule_[si]).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0 && type_last_used_[t] < last) type_last_used_[t] = last;
-    }
-  }
-  return now;
+PortWindow MolenBackend::open_window(Cycles now, SiId) {
+  advance_reconfig(now);
+  if (!cache_valid_) refresh_cache();
+  std::optional<Cycles> end;
+  if (port_.busy()) end = port_.inflight()->finishes_at;
+  return PortWindow{end, cached_latency_.data(), cached_stamp_.data()};
 }
 
 }  // namespace rispp

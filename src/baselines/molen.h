@@ -19,7 +19,7 @@
 #include "hw/reconfig_port.h"
 #include "monitor/forecast.h"
 #include "select/selection.h"
-#include "sim/executor.h"
+#include "sim/window_replay.h"
 
 namespace rispp {
 
@@ -28,7 +28,7 @@ struct MolenConfig {
   BitstreamModel bitstream;
 };
 
-class MolenBackend final : public ExecutionBackend {
+class MolenBackend final : public WindowedBackend {
  public:
   MolenBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                const MolenConfig& config);
@@ -40,11 +40,6 @@ class MolenBackend final : public ExecutionBackend {
                          Cycles now) override;
   void on_hot_spot_exit(Cycles now) override;
   Cycles si_execution_latency(SiId si, Cycles now) override;
-  Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                  Cycles per_execution_overhead,
-                                  std::vector<LatencySegment>& segments) override;
-  Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
-                           Cycles per_execution_overhead) override;
   std::uint64_t completed_loads() const override { return port_.completed_loads(); }
 
   const std::vector<SiRef>& current_selection() const { return selection_; }
@@ -53,6 +48,7 @@ class MolenBackend final : public ExecutionBackend {
   void advance_reconfig(Cycles now);
   void start_pending_loads(Cycles now);
   void refresh_cache();
+  PortWindow open_window(Cycles now, SiId next) override;
 
   const SpecialInstructionSet* set_;
   MolenConfig config_;
@@ -70,17 +66,10 @@ class MolenBackend final : public ExecutionBackend {
   /// Per SiId: the latency the SI currently takes (selected molecule if
   /// complete, else software). kMaxCycles marks "not in this hot spot".
   std::vector<Cycles> cached_latency_;
+  /// Per SiId: the selected molecule's atoms while it serves the SI, else null.
+  std::vector<const Molecule*> cached_stamp_;
   std::vector<MoleculeId> selected_molecule_;  // per SiId, kSoftwareMolecule if none
   bool cache_valid_ = false;
-
-  // Scratch for si_execution_span's port-quiet windows (per SiId, validated
-  // against span_gen_ so windows open without O(si_count) clears).
-  std::uint64_t span_gen_ = 0;
-  std::vector<std::uint64_t> span_step_gen_;   // step cache validity
-  std::vector<Cycles> span_step_;              // latency + overhead this window
-  std::vector<std::uint64_t> span_touch_gen_;  // "stamped this window" marker
-  std::vector<Cycles> span_last_start_;        // last execution start this window
-  std::vector<SiId> span_touched_;             // SIs to LRU-stamp at window close
 };
 
 }  // namespace rispp

@@ -7,20 +7,18 @@ namespace rispp {
 
 OneChipBackend::OneChipBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                                const OneChipConfig& config)
-    : set_(set),
+    : WindowedBackend(set->si_count(), monitor_, type_last_used_),
+      set_(set),
       config_(config),
       monitor_(hot_spot_count, set->si_count()),
       containers_(config.container_count, set->atom_type_count()),
       port_(&set->library(), config.bitstream),
       demand_(set->atom_type_count()),
-      requested_(set->si_count(), false),
+      unrequested_(set->si_count(), 0),
       selected_molecule_(set->si_count(), kSoftwareMolecule),
       type_last_used_(set->atom_type_count(), 0),
       cached_latency_(set->si_count(), 0),
-      span_step_gen_(set->si_count(), 0),
-      span_step_(set->si_count(), 0),
-      span_touch_gen_(set->si_count(), 0),
-      span_last_start_(set->si_count(), 0) {}
+      cached_stamp_(set->si_count(), nullptr) {}
 
 void OneChipBackend::seed_forecast(HotSpotId hs, SiId si, std::uint64_t expected) {
   monitor_.seed(hs, si, expected);
@@ -32,6 +30,7 @@ void OneChipBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
 
   const HotSpotId hs = trace.instances[instance].hot_spot;
   const HotSpotInfo& info = trace.hot_spots[hs];
+  bind_instance(trace.instances[instance], info);
   monitor_.begin_hot_spot(hs);
   const auto& forecast = monitor_.forecast(hs);
 
@@ -45,9 +44,12 @@ void OneChipBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
   selection_ = select_molecules(sel_req);
 
   pending_loads_.clear();
-  std::fill(requested_.begin(), requested_.end(), false);
+  std::fill(unrequested_.begin(), unrequested_.end(), 0);
   std::fill(selected_molecule_.begin(), selected_molecule_.end(), kSoftwareMolecule);
-  for (const SiRef& s : selection_) selected_molecule_[s.si] = s.mol;
+  for (const SiRef& s : selection_) {
+    selected_molecule_[s.si] = s.mol;
+    unrequested_[s.si] = s.mol != kSoftwareMolecule;
+  }
 
   demand_ = Molecule(set_->atom_type_count());
   for (const SiRef& s : selection_)
@@ -58,9 +60,9 @@ void OneChipBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
 void OneChipBackend::on_hot_spot_exit(Cycles) { monitor_.end_hot_spot(); }
 
 void OneChipBackend::request_configuration(SiId si) {
+  if (unrequested_[si] == 0) return;
+  unrequested_[si] = 0;
   const MoleculeId mol = selected_molecule_[si];
-  if (mol == kSoftwareMolecule || requested_[si]) return;
-  requested_[si] = true;
   // Queue the atoms this SI's single implementation still misses, counting
   // what earlier requests already queued.
   Molecule accumulated = containers_.ready_atoms();
@@ -101,6 +103,9 @@ void OneChipBackend::refresh_cache() {
       cached_latency_[si] = set_->si(si).molecule(mol).latency;
     else
       cached_latency_[si] = set_->si(si).software_latency;
+    cached_stamp_[si] = cached_latency_[si] != set_->si(si).software_latency
+                            ? &set_->si(si).molecule(mol).atoms
+                            : nullptr;
   }
   cache_valid_ = true;
 }
@@ -111,116 +116,20 @@ Cycles OneChipBackend::si_execution_latency(SiId si, Cycles now) {
   start_pending_loads(now);
   if (!cache_valid_) refresh_cache();
   monitor_.record_execution(si);
-  if (cached_latency_[si] != set_->si(si).software_latency) {
-    const Molecule& atoms = set_->si(si).molecule(selected_molecule_[si]).atoms;
-    for (std::size_t t = 0; t < atoms.dimension(); ++t)
-      if (atoms[t] != 0) type_last_used_[t] = now;
-  }
+  if (const Molecule* atoms = cached_stamp_[si])
+    for (std::size_t t = 0; t < atoms->dimension(); ++t)
+      if ((*atoms)[t] != 0) type_last_used_[t] = now;
   return cached_latency_[si];
 }
 
-Cycles OneChipBackend::si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                                Cycles per_execution_overhead,
-                                                std::vector<LatencySegment>& segments) {
-  // Fast-forward between port completions. The demand-load request fires at
-  // the first execution of the run (request_configuration is idempotent for
-  // the following ones, exactly as in scalar replay).
-  Cycles total = 0;
-  while (count > 0) {
-    advance_reconfig(now);
-    request_configuration(si);
-    start_pending_loads(now);
-    if (!cache_valid_) refresh_cache();
-    const Cycles latency = cached_latency_[si];
-    const Cycles step = latency + per_execution_overhead;
-    std::uint64_t fit = count;
-    if (port_.busy() && step > 0) {
-      const Cycles finish = port_.inflight()->finishes_at;
-      fit = std::min<std::uint64_t>(count, (finish - now + step - 1) / step);
-    }
-    monitor_.record_executions(si, fit);
-    if (latency != set_->si(si).software_latency) {
-      const Cycles last_start = now + (fit - 1) * step;
-      const Molecule& atoms = set_->si(si).molecule(selected_molecule_[si]).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0) type_last_used_[t] = last_start;
-    }
-    append_latency_segment(segments, fit, latency);
-    total += fit * latency;
-    now += fit * step;
-    count -= fit;
-  }
-  return total;
-}
-
-Cycles OneChipBackend::si_execution_span(std::span<const SiRun> runs, Cycles now,
-                                         Cycles per_execution_overhead) {
-  // Port-quiet-window arithmetic as in RunTimeManager::si_execution_span,
-  // plus OneChip's demand loading: scalar replay issues the configuration
-  // request at an SI's *first* execution, so a window closes whenever the
-  // next run's SI has not been requested yet — the reopen sequence below
-  // fires the request at exactly that execution's time, after the preceding
-  // executions' LRU stamps have been materialized (the victim search the
-  // request may trigger must observe them). Bit-exact with scalar replay.
-  std::size_t i = 0;
-  std::uint64_t remaining = 0;  // rest of runs[i] when a window split it
-  while (i < runs.size()) {
-    advance_reconfig(now);
-    request_configuration(runs[i].si);  // idempotent for already-requested SIs
-    start_pending_loads(now);
-    if (!cache_valid_) refresh_cache();
-    const bool bounded = port_.busy();
-    const Cycles window_end = bounded ? port_.inflight()->finishes_at : 0;
-    ++span_gen_;
-    span_touched_.clear();
-
-    while (i < runs.size()) {
-      if (bounded && now >= window_end) break;  // next execution sees the load
-      const SiId si = runs[i].si;
-      // A not-yet-requested SI fires its demand request at its first
-      // execution: reopen the window there.
-      if (remaining == 0 && !requested_[si] &&
-          selected_molecule_[si] != kSoftwareMolecule)
-        break;
-      const std::uint64_t count = remaining > 0 ? remaining : runs[i].count;
-      if (span_step_gen_[si] != span_gen_) {
-        span_step_gen_[si] = span_gen_;
-        span_step_[si] = cached_latency_[si] + per_execution_overhead;
-      }
-      const Cycles step = span_step_[si];
-      std::uint64_t fit = count;
-      if (bounded && step > 0)
-        fit = std::min<std::uint64_t>(count, (window_end - now + step - 1) / step);
-      if (fit > 0) {
-        monitor_.record_executions(si, fit);
-        if (cached_latency_[si] != set_->si(si).software_latency) {
-          span_last_start_[si] = now + (fit - 1) * step;
-          if (span_touch_gen_[si] != span_gen_) {
-            span_touch_gen_[si] = span_gen_;
-            span_touched_.push_back(si);
-          }
-        }
-        now += fit * step;
-      }
-      if (fit == count) {
-        ++i;
-        remaining = 0;
-      } else {
-        remaining = count - fit;
-        break;  // window exhausted; reopen at the port completion
-      }
-    }
-
-    // Materialize the LRU stamps while the window's molecules are still
-    // selected (the next advance_reconfig may refresh the cache).
-    for (const SiId si : span_touched_) {
-      const Cycles last = span_last_start_[si];
-      const Molecule& atoms = set_->si(si).molecule(selected_molecule_[si]).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0 && type_last_used_[t] < last) type_last_used_[t] = last;
-    }
-  }
-  return now;
+PortWindow OneChipBackend::open_window(Cycles now, SiId next) {
+  advance_reconfig(now);
+  request_configuration(next);  // demand loading at first use (idempotent)
+  start_pending_loads(now);
+  if (!cache_valid_) refresh_cache();
+  std::optional<Cycles> end;
+  if (port_.busy()) end = port_.inflight()->finishes_at;
+  return PortWindow{end, cached_latency_.data(), cached_stamp_.data(), unrequested_.data()};
 }
 
 }  // namespace rispp

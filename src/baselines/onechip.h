@@ -19,7 +19,7 @@
 #include "hw/reconfig_port.h"
 #include "monitor/forecast.h"
 #include "select/selection.h"
-#include "sim/executor.h"
+#include "sim/window_replay.h"
 
 namespace rispp {
 
@@ -28,7 +28,7 @@ struct OneChipConfig {
   BitstreamModel bitstream;
 };
 
-class OneChipBackend final : public ExecutionBackend {
+class OneChipBackend final : public WindowedBackend {
  public:
   OneChipBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                  const OneChipConfig& config);
@@ -40,11 +40,6 @@ class OneChipBackend final : public ExecutionBackend {
                          Cycles now) override;
   void on_hot_spot_exit(Cycles now) override;
   Cycles si_execution_latency(SiId si, Cycles now) override;
-  Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                  Cycles per_execution_overhead,
-                                  std::vector<LatencySegment>& segments) override;
-  Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
-                           Cycles per_execution_overhead) override;
   std::uint64_t completed_loads() const override { return port_.completed_loads(); }
 
  private:
@@ -52,6 +47,7 @@ class OneChipBackend final : public ExecutionBackend {
   void start_pending_loads(Cycles now);
   void request_configuration(SiId si);
   void refresh_cache();
+  PortWindow open_window(Cycles now, SiId next) override;
 
   const SpecialInstructionSet* set_;
   OneChipConfig config_;
@@ -62,20 +58,16 @@ class OneChipBackend final : public ExecutionBackend {
   std::vector<SiRef> selection_;
   Molecule demand_;
   std::deque<AtomTypeId> pending_loads_;
-  std::vector<bool> requested_;               // per SiId: configuration queued?
+  /// Per SiId: 1 while the SI is selected but its configuration has not
+  /// been requested — its next execution issues the demand request, which
+  /// closes a replay window.
+  std::vector<std::uint8_t> unrequested_;
   std::vector<MoleculeId> selected_molecule_; // per SiId
   std::vector<Cycles> type_last_used_;
   std::vector<Cycles> cached_latency_;
+  /// Per SiId: the selected molecule's atoms while it serves the SI, else null.
+  std::vector<const Molecule*> cached_stamp_;
   bool cache_valid_ = false;
-
-  // Scratch for si_execution_span's port-quiet windows (per SiId, validated
-  // against span_gen_ so windows open without O(si_count) clears).
-  std::uint64_t span_gen_ = 0;
-  std::vector<std::uint64_t> span_step_gen_;   // step cache validity
-  std::vector<Cycles> span_step_;              // latency + overhead this window
-  std::vector<std::uint64_t> span_touch_gen_;  // "stamped this window" marker
-  std::vector<Cycles> span_last_start_;        // last execution start this window
-  std::vector<SiId> span_touched_;             // SIs to LRU-stamp at window close
 };
 
 }  // namespace rispp

@@ -90,11 +90,19 @@ RunResult Core::run(const Program& program, std::uint64_t max_instructions) {
     bool taken = false;
     const auto rs = regs_[inst.rs];
     const auto rt = regs_[inst.rt];
+    // The 32-bit datapath wraps around: add, subtract and multiply in
+    // unsigned arithmetic (signed overflow would be undefined behaviour).
+    const auto urs = static_cast<std::uint32_t>(rs);
+    const auto urt = static_cast<std::uint32_t>(rt);
+    const auto uimm = static_cast<std::uint32_t>(inst.imm);
+    const auto set_wrapped = [&](std::uint32_t value) {
+      set_reg(static_cast<Reg>(inst.rd), static_cast<std::int32_t>(value));
+    };
     switch (inst.op) {
-      case Opcode::kAdd: set_reg(static_cast<Reg>(inst.rd), rs + rt); break;
-      case Opcode::kSub: set_reg(static_cast<Reg>(inst.rd), rs - rt); break;
+      case Opcode::kAdd: set_wrapped(urs + urt); break;
+      case Opcode::kSub: set_wrapped(urs - urt); break;
       case Opcode::kMul:
-        set_reg(static_cast<Reg>(inst.rd), rs * rt);
+        set_wrapped(urs * urt);
         cost += timing_.mul_extra_cycles;
         break;
       case Opcode::kAnd: set_reg(static_cast<Reg>(inst.rd), rs & rt); break;
@@ -110,19 +118,19 @@ RunResult Core::run(const Program& program, std::uint64_t max_instructions) {
                 static_cast<std::int32_t>(static_cast<std::uint32_t>(rs) >> inst.imm));
         break;
       case Opcode::kSra: set_reg(static_cast<Reg>(inst.rd), rs >> inst.imm); break;
-      case Opcode::kAddi: set_reg(static_cast<Reg>(inst.rd), rs + inst.imm); break;
+      case Opcode::kAddi: set_wrapped(urs + uimm); break;
       case Opcode::kAndi: set_reg(static_cast<Reg>(inst.rd), rs & inst.imm); break;
       case Opcode::kOri: set_reg(static_cast<Reg>(inst.rd), rs | inst.imm); break;
       case Opcode::kSlti: set_reg(static_cast<Reg>(inst.rd), rs < inst.imm ? 1 : 0); break;
       case Opcode::kLw:
-        set_reg(static_cast<Reg>(inst.rd), load_word(static_cast<std::uint32_t>(rs + inst.imm)));
+        set_reg(static_cast<Reg>(inst.rd), load_word(urs + uimm));
         break;
       case Opcode::kLbu:
-        set_reg(static_cast<Reg>(inst.rd), load_byte(static_cast<std::uint32_t>(rs + inst.imm)));
+        set_reg(static_cast<Reg>(inst.rd), load_byte(urs + uimm));
         break;
-      case Opcode::kSw: store_word(static_cast<std::uint32_t>(rs + inst.imm), rt); break;
+      case Opcode::kSw: store_word(urs + uimm, rt); break;
       case Opcode::kSb:
-        store_byte(static_cast<std::uint32_t>(rs + inst.imm), static_cast<std::uint8_t>(rt));
+        store_byte(urs + uimm, static_cast<std::uint8_t>(rt));
         break;
       case Opcode::kBeq: taken = rs == rt; break;
       case Opcode::kBne: taken = rs != rt; break;

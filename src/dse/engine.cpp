@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -161,13 +162,22 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
   const unsigned max_budget =
       *std::max_element(options.ac_budgets.begin(), options.ac_budgets.end());
 
+  // An eval-cache hit replays the cycles of an earlier point with the same
+  // ISA fingerprint, but the area is the candidate's own: two specs can
+  // build the same observable ISA with different slice costs.
+  const auto cached_eval = [&](std::uint64_t fp, unsigned slices) -> std::optional<EvalResult> {
+    std::optional<EvalResult> hit = cache->lookup(fp, ctx);
+    if (hit) {
+      ++result.cache_hits;
+      hit->slices = slices;
+    }
+    return hit;
+  };
+
   // Serial-path scoring through the eval cache.
   const auto score_cached = [&](const SpecialInstructionSet& set, std::uint64_t fp,
                                 unsigned slices) -> EvalResult {
-    if (const auto hit = cache->lookup(fp, ctx)) {
-      ++result.cache_hits;
-      return *hit;
-    }
+    if (const auto hit = cached_eval(fp, slices)) return *hit;
     const EvalResult r = evaluate_set(set, trace, result.reference_cycles, seeds, options, slices,
                                       ReplayMode::kBatched, /*decision_cache=*/true);
     ++result.replays;
@@ -183,12 +193,19 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
   }
 
   ParetoFront front;
+  // Spec of every point that entered the front. A (fingerprint, slices)
+  // pair fixes the speedup too, so an equal pair can never enter twice.
+  std::map<std::pair<std::uint64_t, unsigned>, config::PlatformSpec> front_spec_of;
+  const auto enter_front = [&](const DseCandidate& c) {
+    if (front.insert(ParetoPoint{c.eval.slices, c.eval.mean_speedup, c.fingerprint}))
+      front_spec_of.emplace(std::pair{c.fingerprint, c.eval.slices}, c.point.spec);
+  };
   std::vector<DseCandidate> survivors;
   {
     const std::uint64_t fp = fingerprint(seed_set);
     const EvalResult eval = score_cached(seed_set, fp, design_slices(seed_point.spec));
-    front.insert(ParetoPoint{eval.slices, eval.mean_speedup, fp});
     survivors.push_back(DseCandidate{std::move(seed_point), fp, eval});
+    enter_front(survivors.back());
   }
 
   Xoshiro256 rng(options.seed);
@@ -262,8 +279,7 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
         continue;
       }
       if (!generation_fps.insert(slot.fp).second) continue;  // same observable ISA
-      if (const auto hit = cache->lookup(slot.fp, ctx)) {
-        ++result.cache_hits;
+      if (const auto hit = cached_eval(slot.fp, slot.slices)) {
         scored[i] = *hit;
         continue;
       }
@@ -287,8 +303,8 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
     // 5. Serial commit: front + survivor population.
     for (std::size_t i = 0; i < proposals.size(); ++i) {
       if (!scored[i].has_value()) continue;
-      front.insert(ParetoPoint{scored[i]->slices, scored[i]->mean_speedup, slots[i].fp});
       survivors.push_back(DseCandidate{std::move(proposals[i]), slots[i].fp, *scored[i]});
+      enter_front(survivors.back());
     }
     std::sort(survivors.begin(), survivors.end(),
               [](const DseCandidate& a, const DseCandidate& b) {
@@ -306,6 +322,8 @@ DseResult run_dse(const WorkloadTrace& trace, const config::PlatformSpec& handbu
   RISPP_CHECK(!survivors.empty());
   result.best = survivors.front();
   result.front = front.points();
+  for (const ParetoPoint& p : result.front)
+    result.front_specs.push_back(front_spec_of.at({p.fingerprint, p.slices}));
   result.platform_text = config::emit_platform(result.best.point.spec);
   result.discovered_vs_handbuilt =
       result.handbuilt_eval.mean_speedup > 0.0

@@ -76,6 +76,8 @@ struct DseResult {
   /// emit_platform(best.point.spec) — what `rispp_dse --out` writes.
   std::string platform_text;
   std::vector<ParetoPoint> front;
+  /// The spec behind each front member, in `front` order.
+  std::vector<config::PlatformSpec> front_specs;
   /// The hand-built platform scored under the same context (never enters the
   /// population or the front; reported for the ratio).
   EvalResult handbuilt_eval;

@@ -28,7 +28,8 @@ const TraceEntry& TraceRepository::get(const SessionSpec& spec) {
   // cache file is keyed by the workload fingerprint — SI-library or workload
   // edits change the key, so a stale trace can never be replayed — and the
   // key scheme is shared with the bench harness (bench/common.cpp), so one
-  // warm cache serves both.
+  // warm cache serves both. A file that fails to load, or whose hot spots
+  // name an SI id outside the set, is regenerated and overwritten.
   static MetricCounter& disk_hit_metric = metric_counter("fleet.trace_cache.disk_hits");
   std::unique_ptr<TraceEntry> entry;
   if (spec.content == Content::kH264) {
@@ -38,7 +39,7 @@ const TraceEntry& TraceRepository::get(const SessionSpec& spec) {
     if (spec.width > 0) config.video.width = spec.width;
     if (spec.height > 0) config.video.height = spec.height;
     const auto path = h264::trace_cache_path(entry->set, config);
-    if (auto cached = try_load_trace_file(path)) {
+    if (auto cached = try_load_trace_file(path, entry->set.si_count())) {
       entry->trace = std::move(*cached);
       ++disk_hits_;
       disk_hit_metric.add();
@@ -54,7 +55,7 @@ const TraceEntry& TraceRepository::get(const SessionSpec& spec) {
     if (spec.width > 0) config.width = spec.width;
     if (spec.height > 0) config.height = spec.height;
     const auto path = jpeg::trace_cache_path(entry->set, config);
-    if (auto cached = try_load_trace_file(path)) {
+    if (auto cached = try_load_trace_file(path, entry->set.si_count())) {
       entry->trace = std::move(*cached);
       ++disk_hits_;
       disk_hit_metric.add();

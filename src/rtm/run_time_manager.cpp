@@ -21,7 +21,8 @@ std::uint64_t rtm_domain_digest(const RtmConfig& config) {
 
 RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                                const RtmConfig& config)
-    : set_(set),
+    : WindowedBackend(set->si_count(), monitor_, type_last_used_),
+      set_(set),
       config_(config),
       monitor_(hot_spot_count, set->si_count()),
       seeds_(hot_spot_count, std::vector<std::uint64_t>(set->si_count(), 0)),
@@ -38,12 +39,18 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
       prefetch_demand_(set->atom_type_count()),
       type_last_used_(set->atom_type_count(), 0),
       cached_molecule_(set->si_count(), kSoftwareMolecule),
-      span_step_gen_(set->si_count(), 0),
-      span_step_(set->si_count(), 0),
-      span_touch_gen_(set->si_count(), 0),
-      span_last_start_(set->si_count(), 0),
+      cached_latency_(set->si_count(), 0),
+      cached_stamp_(set->si_count(), nullptr),
+      si_atom_types_(set->si_count()),
       upgrade_lane_(trace_new_lane()) {
   RISPP_CHECK(config_.scheduler != nullptr);
+  for (SiId si = 0; si < set_->si_count(); ++si) {
+    cached_latency_[si] = set_->si(si).latency(kSoftwareMolecule);
+    Molecule used(set_->atom_type_count());
+    for (const MoleculeImpl& m : set_->si(si).molecules) join_into(used, m.atoms);
+    for (AtomTypeId t = 0; t < used.dimension(); ++t)
+      if (used[t] != 0) si_atom_types_[si].push_back(t);
+  }
   trace_name_lane(TraceTrack::kExecutor, upgrade_lane_, "SI upgrades");
   if (config_.arbiter != nullptr) {
     config_.arbiter->bind(config_.tenant, &set_->library(), set_->atom_type_count(),
@@ -80,6 +87,7 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
 
   const HotSpotId hs = trace.instances[instance].hot_spot;
   const HotSpotInfo& info = trace.hot_spots[hs];
+  bind_instance(trace.instances[instance], info);
   // First-order successor prediction for prefetching.
   if (seen_any_hot_spot_) successor_[current_hot_spot_] = hs;
   current_hot_spot_ = hs;
@@ -508,6 +516,11 @@ void RunTimeManager::refresh_cache() {
   }
   std::uint64_t upgrades = 0;
   for (SiId si = 0; si < set_->si_count(); ++si) {
+    // fastest_available(si, ·) reads only the atom types si's molecules use.
+    if (cache_primed_ &&
+        std::none_of(si_atom_types_[si].begin(), si_atom_types_[si].end(),
+                     [&](AtomTypeId t) { return ready[t] != refreshed_ready_[t]; }))
+      continue;
     const MoleculeId mol = set_->fastest_available(si, ready);
     if (mol != cached_molecule_[si]) {
       // The gradual-upgrade property (§3.1): count latency-improving
@@ -522,12 +535,16 @@ void RunTimeManager::refresh_cache() {
                         us_from_cycles(cache_event_now_));
       }
       cached_molecule_[si] = mol;
+      cached_latency_[si] = set_->si(si).latency(mol);
+      cached_stamp_[si] = mol != kSoftwareMolecule ? &set_->si(si).molecule(mol).atoms : nullptr;
     }
   }
   if (upgrades > 0) {
     static MetricCounter& upgrade_metric = metric_counter("rtm.si_upgrades");
     upgrade_metric.add(upgrades);
   }
+  refreshed_ready_ = ready;
+  cache_primed_ = true;
   cache_valid_ = true;
 }
 
@@ -554,107 +571,10 @@ Cycles RunTimeManager::si_execution_latency(SiId si, Cycles now) {
   return set_->si(si).latency(mol);
 }
 
-Cycles RunTimeManager::si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                                Cycles per_execution_overhead,
-                                                std::vector<LatencySegment>& segments) {
-  // Fast-forward: an SI's latency only changes when an atom load completes on
-  // the reconfiguration port (complete_load / the evictions of the loads it
-  // chains), so all executions starting before the in-flight load's finish
-  // time observe the same latency. Each iteration advances state to `now`,
-  // reads the current latency, and jumps over every execution that fits
-  // before the next port completion — O(port events), not O(count).
-  Cycles total = 0;
-  while (count > 0) {
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const MoleculeId mol = cached_molecule_[si];
-    const Cycles latency = set_->si(si).latency(mol);
-    const Cycles step = latency + per_execution_overhead;
-    std::uint64_t fit = count;
-    const auto bound = fabric_stall_bound(now);
-    if (bound.has_value() && step > 0) {
-      const Cycles finish = *bound;  // > now after advance
-      fit = std::min<std::uint64_t>(count, (finish - now + step - 1) / step);
-    }
-    monitor_.record_executions(si, fit);
-    if (mol != kSoftwareMolecule) {
-      // Only the last stamp of the stretch survives scalar replay.
-      const Cycles last_start = now + (fit - 1) * step;
-      const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0) type_last_used_[t] = last_start;
-    }
-    append_latency_segment(segments, fit, latency);
-    total += fit * latency;
-    now += fit * step;
-    count -= fit;
-  }
-  return total;
-}
-
-Cycles RunTimeManager::si_execution_span(std::span<const SiRun> runs, Cycles now,
-                                         Cycles per_execution_overhead) {
-  // Between two reconfiguration-port completions *every* SI's latency is
-  // fixed, so a whole port-quiet window replays with pure arithmetic: per
-  // run one step lookup, one monitor bulk-add and one clock advance. LRU
-  // stamps are materialized once per window (only the latest stamp of each
-  // atom type survives scalar replay). Bit-exact with scalar replay.
-  std::size_t i = 0;
-  std::uint64_t remaining = 0;  // rest of runs[i] when a window split it
-  while (i < runs.size()) {
-    // Open a window: advance reconfiguration state to `now`.
-    advance_reconfig(now);
-    if (!cache_valid_) refresh_cache();
-    const auto bound = fabric_stall_bound(now);
-    const bool bounded = bound.has_value();
-    const Cycles window_end = bounded ? *bound : 0;
-    ++span_gen_;
-    span_touched_.clear();
-
-    while (i < runs.size()) {
-      if (bounded && now >= window_end) break;  // next execution sees the load
-      const SiId si = runs[i].si;
-      const std::uint64_t count = remaining > 0 ? remaining : runs[i].count;
-      if (span_step_gen_[si] != span_gen_) {
-        span_step_gen_[si] = span_gen_;
-        span_step_[si] =
-            set_->si(si).latency(cached_molecule_[si]) + per_execution_overhead;
-      }
-      const Cycles step = span_step_[si];
-      std::uint64_t fit = count;
-      if (bounded && step > 0)
-        fit = std::min<std::uint64_t>(count, (window_end - now + step - 1) / step);
-      if (fit > 0) {
-        monitor_.record_executions(si, fit);
-        span_last_start_[si] = now + (fit - 1) * step;
-        if (span_touch_gen_[si] != span_gen_) {
-          span_touch_gen_[si] = span_gen_;
-          span_touched_.push_back(si);
-        }
-        now += fit * step;
-      }
-      if (fit == count) {
-        ++i;
-        remaining = 0;
-      } else {
-        remaining = count - fit;
-        break;  // window exhausted; reopen at the port completion
-      }
-    }
-
-    // Close the window: materialize the LRU stamps while the molecules the
-    // window executed with are still cached (the next advance_reconfig may
-    // change them).
-    for (const SiId si : span_touched_) {
-      const MoleculeId mol = cached_molecule_[si];
-      if (mol == kSoftwareMolecule) continue;
-      const Cycles last = span_last_start_[si];
-      const Molecule& atoms = set_->si(si).molecule(mol).atoms;
-      for (std::size_t t = 0; t < atoms.dimension(); ++t)
-        if (atoms[t] != 0 && type_last_used_[t] < last) type_last_used_[t] = last;
-    }
-  }
-  return now;
+PortWindow RunTimeManager::open_window(Cycles now, SiId) {
+  advance_reconfig(now);
+  if (!cache_valid_) refresh_cache();
+  return PortWindow{fabric_stall_bound(now), cached_latency_.data(), cached_stamp_.data()};
 }
 
 }  // namespace rispp

@@ -31,7 +31,7 @@
 #include "rtm/fabric_arbiter.h"
 #include "sched/schedule.h"
 #include "select/selection.h"
-#include "sim/executor.h"
+#include "sim/window_replay.h"
 
 namespace rispp {
 
@@ -99,7 +99,7 @@ struct RtmConfig {
 /// fold any future decision-influencing knob here the same way.
 std::uint64_t rtm_domain_digest(const RtmConfig& config);
 
-class RunTimeManager final : public ExecutionBackend {
+class RunTimeManager final : public WindowedBackend {
  public:
   RunTimeManager(const SpecialInstructionSet* set, std::size_t hot_spot_count,
                  const RtmConfig& config);
@@ -117,11 +117,6 @@ class RunTimeManager final : public ExecutionBackend {
                          Cycles now) override;
   void on_hot_spot_exit(Cycles now) override;
   Cycles si_execution_latency(SiId si, Cycles now) override;
-  Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
-                                  Cycles per_execution_overhead,
-                                  std::vector<LatencySegment>& segments) override;
-  Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
-                           Cycles per_execution_overhead) override;
   std::uint64_t completed_loads() const override {
     return config_.arbiter != nullptr ? config_.arbiter->completed_loads(config_.tenant)
                                       : port_.completed_loads();
@@ -182,9 +177,9 @@ class RunTimeManager final : public ExecutionBackend {
   /// The next simulated time at which this tenant's SI latencies can change:
   /// its own in-flight load's completion, or the arbiter's retry hint while
   /// it waits for the port. nullopt = no pending fabric event (latencies are
-  /// stable until the next decision point). Bounds the fast-forward windows
-  /// of si_execution_run_latency / si_execution_span.
+  /// stable until the next decision point). Ends every replay window.
   std::optional<Cycles> fabric_stall_bound(Cycles now) const;
+  PortWindow open_window(Cycles now, SiId next) override;
   /// Consumes arbiter-side mutations (quota rebalances evicting our atoms)
   /// by invalidating the latency cache when the fabric generation moved.
   void sync_fabric();
@@ -267,20 +262,18 @@ class RunTimeManager final : public ExecutionBackend {
   // the simulated time of the first invalidating port event since the last
   // refresh, which timestamps the upgrade instants on the executor track.
   std::vector<MoleculeId> cached_molecule_;  // per SiId
+  std::vector<Cycles> cached_latency_;       // per SiId: latency of cached_molecule_
+  std::vector<const Molecule*> cached_stamp_;  // per SiId: its atoms, null for a trap
+  // refresh_cache() revisits an SI only when the ready count of an atom
+  // type one of its molecules uses moved since the previous refresh.
+  std::vector<std::vector<AtomTypeId>> si_atom_types_;  // per SiId
+  Molecule refreshed_ready_;                 // ready atoms at the last refresh
+  bool cache_primed_ = false;                // a full refresh has run
   bool cache_valid_ = false;
   Cycles cache_event_now_ = 0;
   TraceLane upgrade_lane_;                      // "SI upgrades" row
   std::vector<const char*> traced_si_names_;    // interned, lazy
   void refresh_cache();
-
-  // Scratch for si_execution_span's port-quiet windows (per SiId, validated
-  // against span_gen_ so windows open without O(si_count) clears).
-  std::uint64_t span_gen_ = 0;
-  std::vector<std::uint64_t> span_step_gen_;   // step cache validity
-  std::vector<Cycles> span_step_;              // latency + overhead this window
-  std::vector<std::uint64_t> span_touch_gen_;  // "executed this window" marker
-  std::vector<Cycles> span_last_start_;        // last execution start this window
-  std::vector<SiId> span_touched_;             // SIs executed this window
 };
 
 }  // namespace rispp

@@ -74,8 +74,8 @@ class ExecutionBackend {
   /// `segments` (their counts must sum to `count`) and returns the summed
   /// latency (overheads excluded). Must be bit-exact with `count` scalar
   /// calls. The default loops the scalar path; backends whose latency only
-  /// changes at reconfiguration-port events override it to fast-forward
-  /// whole runs in O(port events).
+  /// changes at reconfiguration-port events derive from WindowedBackend
+  /// (sim/window_replay.h) to fast-forward whole runs in O(port events).
   virtual Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
                                           Cycles per_execution_overhead,
                                           std::vector<LatencySegment>& segments);
@@ -84,9 +84,9 @@ class ExecutionBackend {
   /// hot-spot instance back to back, the first execution starting at `now`,
   /// and returns the cycle after the last execution's overhead. Must be
   /// bit-exact with per-run replay. The default loops
-  /// si_execution_run_latency; backends override it to replay entire
-  /// port-quiet windows (during which *every* SI's latency is fixed) with
-  /// pure arithmetic, amortizing one virtual call over a whole instance.
+  /// si_execution_run_latency; WindowedBackend replays entire port-quiet
+  /// windows (during which *every* SI's latency is fixed) with pure
+  /// arithmetic, amortizing one virtual call over a whole instance.
   virtual Cycles si_execution_span(std::span<const SiRun> runs, Cycles now,
                                    Cycles per_execution_overhead);
 

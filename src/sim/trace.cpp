@@ -2,10 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <system_error>
 
@@ -27,28 +30,94 @@ void put(std::ostream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-template <typename T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  RISPP_CHECK_MSG(is.good(), "truncated trace stream");
-  return v;
-}
-
 void put_string(std::ostream& os, const std::string& s) {
   put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-std::string get_string(std::istream& is) {
-  const auto n = get<std::uint32_t>(is);
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  RISPP_CHECK(is.good());
-  return s;
-}
+/// Reads a trace stream while tracking the bytes left in it, so every
+/// length field is checked against what the stream can still hold before
+/// anything is allocated for it. A stream that cannot seek reports no
+/// bound; its reads still fail on truncation.
+class Reader {
+ public:
+  explicit Reader(std::istream& is) : is_(is) {
+    const auto here = is.tellg();
+    if (here == std::istream::pos_type(-1)) return;
+    is.seekg(0, std::ios::end);
+    const auto end = is.tellg();
+    is.seekg(here);
+    if (end != std::istream::pos_type(-1) && is.good())
+      left_ = static_cast<std::uint64_t>(end - here);
+    else
+      is.clear();
+  }
+
+  template <typename T>
+  T get() {
+    T v{};
+    read(&v, sizeof v);
+    return v;
+  }
+
+  /// Whether `count` elements of at least `min_bytes` each can still follow.
+  bool fits(std::uint64_t count, std::size_t min_bytes) const {
+    return count <= left_ / min_bytes;
+  }
+
+  /// A 64-bit length field whose elements take at least `min_bytes` each.
+  std::uint64_t get_length(std::size_t min_bytes) {
+    const auto n = get<std::uint64_t>();
+    RISPP_CHECK_MSG(fits(n, min_bytes),
+                    "trace length field " << n << " exceeds the " << left_ << " bytes left");
+    return n;
+  }
+
+  std::string get_string() {
+    const auto n = get<std::uint32_t>();
+    RISPP_CHECK_MSG(n <= left_, "trace string length " << n << " exceeds the stream");
+    std::string s(n, '\0');
+    read(s.data(), n);
+    return s;
+  }
+
+  void read(void* out, std::uint64_t bytes) {
+    is_.read(static_cast<char*>(out), static_cast<std::streamsize>(bytes));
+    RISPP_CHECK_MSG(is_.good(), "truncated trace stream");
+    left_ -= std::min(left_, bytes);
+  }
+
+ private:
+  std::istream& is_;
+  std::uint64_t left_ = std::numeric_limits<std::uint64_t>::max();
+};
 
 }  // namespace
+
+RunIndex build_run_index(const std::vector<SiRun>& runs, const std::vector<SiId>& sis) {
+  constexpr std::size_t kBlock = RunIndex::kBlockRuns;
+  const std::size_t k = sis.size();
+  if (k == 0 || k > RunIndex::kMaxSlots) return {};
+  RunIndex index;
+  const std::size_t blocks = (runs.size() + kBlock - 1) / kBlock;
+  index.prefix.assign((blocks + 1) * k, 0);
+  index.present.assign(blocks, 0);
+  std::array<std::uint64_t, RunIndex::kMaxSlots> total{};
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const auto it = std::find(sis.begin(), sis.end(), runs[r].si);
+    if (it == sis.end()) return {};
+    const auto slot = static_cast<std::size_t>(it - sis.begin());
+    total[slot] += runs[r].count;
+    if (total[slot] > std::numeric_limits<std::uint32_t>::max()) return {};
+    if (runs[r].count > 0) index.present[r / kBlock] |= std::uint32_t{1} << slot;
+    if ((r + 1) % kBlock == 0 || r + 1 == runs.size()) {
+      std::uint32_t* row = index.prefix.data() + ((r + 1 + kBlock - 1) / kBlock) * k;
+      for (std::size_t j = 0; j < k; ++j) row[j] = static_cast<std::uint32_t>(total[j]);
+    }
+  }
+  index.slots = static_cast<std::uint32_t>(k);
+  return index;
+}
 
 std::size_t WorkloadTrace::total_si_executions() const {
   if (runs_built_) return static_cast<std::size_t>(total_executions_);
@@ -88,6 +157,7 @@ void WorkloadTrace::build_runs() {
       ++executions_per_si_[si];
     }
     total_executions_ += inst.executions.size();
+    inst.run_index = build_run_index(inst.runs, hot_spots[inst.hot_spot].sis);
   }
   runs_built_ = true;
 }
@@ -130,37 +200,51 @@ void WorkloadTrace::save(std::ostream& os) const {
 }
 
 WorkloadTrace WorkloadTrace::load(std::istream& is) {
-  const auto magic = get<std::uint32_t>(is);
+  Reader in(is);
+  const auto magic = in.get<std::uint32_t>();
   RISPP_CHECK_MSG(magic != kMagicV1,
                   "trace format v1 (runs not serialized) — delete the file and regenerate");
   RISPP_CHECK_MSG(magic == kMagic, "not a RISPP trace");
   WorkloadTrace trace;
-  const auto hs_count = get<std::uint32_t>(is);
+  // Minimum serialized sizes bound the counts: a hot spot is a name length,
+  // an SI count and an overhead; an instance is its id, overhead and two
+  // length fields.
+  const auto hs_count = in.get<std::uint32_t>();
+  RISPP_CHECK_MSG(in.fits(hs_count, 4 + 4 + sizeof(Cycles)),
+                  "trace hot-spot count exceeds the stream");
   trace.hot_spots.resize(hs_count);
-  for (auto& hs : trace.hot_spots) {
-    hs.name = get_string(is);
-    const auto si_count = get<std::uint32_t>(is);
+  std::vector<std::vector<SiId>> sorted_sis(hs_count);  // run-membership lookups
+  for (std::size_t h = 0; h < hs_count; ++h) {
+    HotSpotInfo& hs = trace.hot_spots[h];
+    hs.name = in.get_string();
+    const auto si_count = in.get<std::uint32_t>();
+    RISPP_CHECK_MSG(in.fits(si_count, sizeof(SiId)), "trace SI list exceeds the stream");
     hs.sis.resize(si_count);
-    for (auto& si : hs.sis) si = get<SiId>(is);
-    hs.per_execution_overhead = get<Cycles>(is);
+    for (auto& si : hs.sis) si = in.get<SiId>();
+    hs.per_execution_overhead = in.get<Cycles>();
+    sorted_sis[h] = hs.sis;
+    std::sort(sorted_sis[h].begin(), sorted_sis[h].end());
   }
-  const auto inst_count = get<std::uint64_t>(is);
+  const auto inst_count =
+      in.get_length(sizeof(HotSpotId) + sizeof(Cycles) + 2 * sizeof(std::uint64_t));
   trace.instances.resize(inst_count);
   for (auto& inst : trace.instances) {
-    inst.hot_spot = get<HotSpotId>(is);
+    inst.hot_spot = in.get<HotSpotId>();
     RISPP_CHECK(inst.hot_spot < trace.hot_spots.size());
-    inst.entry_overhead = get<Cycles>(is);
-    const auto n = get<std::uint64_t>(is);
+    const std::vector<SiId>& sorted = sorted_sis[inst.hot_spot];
+    inst.entry_overhead = in.get<Cycles>();
+    const auto n = in.get_length(sizeof(SiId));
     inst.executions.resize(n);
-    is.read(reinterpret_cast<char*>(inst.executions.data()),
-            static_cast<std::streamsize>(n * sizeof(SiId)));
-    RISPP_CHECK(is.good());
-    const auto run_count = get<std::uint64_t>(is);
+    in.read(inst.executions.data(), n * sizeof(SiId));
+    const auto run_count = in.get_length(sizeof(SiId) + sizeof(std::uint32_t));
     inst.runs.resize(run_count);
     std::uint64_t run_total = 0;
     for (auto& run : inst.runs) {
-      run.si = get<SiId>(is);
-      run.count = get<std::uint32_t>(is);
+      run.si = in.get<SiId>();
+      run.count = in.get<std::uint32_t>();
+      RISPP_CHECK_MSG(run.count > 0, "empty run in trace");
+      RISPP_CHECK_MSG(std::binary_search(sorted.begin(), sorted.end(), run.si),
+                      "trace run of SI " << run.si << " outside its hot spot's SI list");
       run_total += run.count;
       // Totals come from the runs, so the rebuild scan is skipped entirely.
       if (run.si >= trace.executions_per_si_.size())
@@ -168,6 +252,7 @@ WorkloadTrace WorkloadTrace::load(std::istream& is) {
       trace.executions_per_si_[run.si] += run.count;
     }
     RISPP_CHECK_MSG(run_total == n, "trace runs inconsistent with execution count");
+    inst.run_index = build_run_index(inst.runs, trace.hot_spots[inst.hot_spot].sis);
     trace.total_executions_ += n;
   }
   trace.runs_built_ = true;
@@ -211,6 +296,18 @@ std::optional<WorkloadTrace> try_load_trace_file(const std::filesystem::path& pa
   } catch (const std::exception&) {
     return std::nullopt;  // corrupt or stale-format cache: regenerate
   }
+}
+
+std::optional<WorkloadTrace> try_load_trace_file(const std::filesystem::path& path,
+                                                 std::size_t si_count) {
+  std::optional<WorkloadTrace> trace = try_load_trace_file(path);
+  if (!trace) return std::nullopt;
+  // load() keeps every run inside its hot spot's list, so bounding the
+  // lists bounds every replayed id.
+  for (const HotSpotInfo& hs : trace->hot_spots)
+    for (SiId si : hs.sis)
+      if (si >= si_count) return std::nullopt;
+  return trace;
 }
 
 }  // namespace rispp

@@ -31,6 +31,35 @@ struct SiRun {
   std::uint32_t count = 0;
 };
 
+/// Block index over one instance's runs, derived by build_runs() and load()
+/// and never serialized. Slot j stands for the hot spot's `sis[j]`. Runs are
+/// grouped in blocks of kBlockRuns; per block boundary the index keeps each
+/// slot's execution count so far, and per block which slots occur in it. A
+/// port-quiet window (sim/window_replay.h) crosses a whole block in O(k)
+/// arithmetic instead of one step per run.
+struct RunIndex {
+  static constexpr std::size_t kBlockRuns = 16;
+  static constexpr std::size_t kMaxSlots = 32;  // one presence bit per slot
+
+  /// k, the hot spot's SI count; 0 means the instance has no index.
+  std::uint32_t slots = 0;
+  /// (blocks() + 1) rows of k counts: row b holds each slot's executions in
+  /// runs [0, min(b * kBlockRuns, runs.size())), so the last row is the total.
+  std::vector<std::uint32_t> prefix;
+  /// Per block: bit j is set when a run of slot j lies in the block.
+  std::vector<std::uint32_t> present;
+
+  std::size_t blocks() const { return present.size(); }
+  const std::uint32_t* checkpoint(std::size_t block) const {
+    return prefix.data() + block * slots;
+  }
+};
+
+/// Builds the index of `runs` over the hot-spot SI list `sis`. Returns an
+/// empty index (slots == 0) when a run's SI is not in `sis`, `sis` has more
+/// than kMaxSlots entries, or a slot's executions overflow 32 bits.
+RunIndex build_run_index(const std::vector<SiRun>& runs, const std::vector<SiId>& sis);
+
 struct HotSpotInstance {
   HotSpotInstance() = default;
   HotSpotInstance(HotSpotId hs, std::vector<SiId> execs, Cycles entry)
@@ -46,6 +75,8 @@ struct HotSpotInstance {
   /// coalesced). Empty until WorkloadTrace::build_runs(); the batched
   /// executor falls back to an on-the-fly encoding when empty.
   std::vector<SiRun> runs;
+  /// Block index over `runs`; empty until build_runs() or load().
+  RunIndex run_index;
 };
 
 struct HotSpotInfo {
@@ -71,8 +102,9 @@ struct WorkloadTrace {
   /// lower bound on any backend's total — the DSE early-abandon bound.
   Cycles overhead_cycles() const;
 
-  /// Builds the per-instance run forms and caches per-SI execution totals so
-  /// total_si_executions()/executions_of() stop rescanning instances.
+  /// Builds the per-instance run forms and their run indexes, and caches
+  /// per-SI execution totals so total_si_executions()/executions_of() stop
+  /// rescanning instances.
   /// Idempotent; re-call after mutating `instances`. Sweeps share one const
   /// trace across threads, so build the runs once before fanning out —
   /// load() and the workload generators already do.
@@ -83,6 +115,9 @@ struct WorkloadTrace {
   /// Format v2 stores each instance's run form next to its executions, so
   /// load() validates and adopts the runs instead of rebuilding them; a v1
   /// file (pre-runs magic) is rejected with a clear regenerate message.
+  /// load() fails closed (RISPP_CHECK) on a run whose SI is not in its hot
+  /// spot's `sis`, on an empty run, and on any length field larger than the
+  /// bytes left in a seekable stream, before allocating for it.
   void save(std::ostream& os) const;
   static WorkloadTrace load(std::istream& is);
 
@@ -106,5 +141,10 @@ void save_trace_file(const WorkloadTrace& trace, const std::filesystem::path& pa
 /// Loads the trace cached at `path`; nullopt when the file is missing or
 /// fails load()'s validation (corrupt / stale format — regenerate).
 std::optional<WorkloadTrace> try_load_trace_file(const std::filesystem::path& path);
+
+/// As above, and also nullopt when a hot spot names an SI id >= `si_count`
+/// (a trace recorded for, or corrupted away from, the SI set it replays on).
+std::optional<WorkloadTrace> try_load_trace_file(const std::filesystem::path& path,
+                                                 std::size_t si_count);
 
 }  // namespace rispp

@@ -1,5 +1,6 @@
 // Tests for the base utilities: PRNG determinism and distribution sanity,
-// table/CSV rendering, invariant checking and the clock model.
+// table/CSV rendering, invariant checking, the clock model and the JSON
+// reader's depth limit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,9 +10,11 @@
 #include "base/check.h"
 #include "base/clock.h"
 #include "base/csv.h"
+#include "base/json_mini.h"
 #include "base/log.h"
 #include "base/prng.h"
 #include "base/table.h"
+#include "base/trace_event.h"
 
 namespace rispp {
 namespace {
@@ -192,6 +195,26 @@ TEST(Log, LevelsGateEmission) {
   RISPP_DEBUG("emitted " << 2);
   set_log_level(before);
   SUCCEED();
+}
+
+// json_mini recurses once per nesting level: a document nested far deeper
+// than any real one must fail with a parse error, not overflow the stack.
+TEST(JsonMini, RejectsNestingBeyondTheDepthLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  jsonmini::JsonValue value;
+  std::string error;
+  EXPECT_FALSE(jsonmini::parse_document(nested(2'000'000), value, error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+
+  constexpr std::size_t kLimit = jsonmini::JsonParser::kMaxDepth;
+  EXPECT_TRUE(jsonmini::parse_document(nested(kLimit), value, error)) << error;
+  EXPECT_FALSE(jsonmini::parse_document(nested(kLimit + 1), value, error));
+
+  // The validators behind trace_check report it as a problem too.
+  std::istringstream trace(nested(2'000'000));
+  EXPECT_TRUE(validate_chrome_trace(trace, nullptr).has_value());
 }
 
 }  // namespace

@@ -191,6 +191,44 @@ TEST(Dse, DeterministicAcrossThreadCounts) {
   EXPECT_GT(one.best.eval.mean_speedup, one.front.front().speedup);
 }
 
+// An eval-cache hit replays the cycles of an earlier candidate with the same
+// ISA fingerprint, never its area: the best candidate and every front member
+// must report exactly what a naive re-score of its own spec computes.
+TEST(Dse, CacheHitsScoreTheCandidatesOwnSlices) {
+  const config::PlatformSpec handbuilt = config::h264_platform_spec();
+  ThreadPool pool(2);
+  std::uint64_t cache_hits = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(seed);
+    MakespanMemo memo;
+    dse::EvalCache cache;
+    dse::DseOptions options;  // the default search shape revisits ISAs often
+    options.seed = seed;
+    options.generations = 6;
+    options.pool = &pool;
+    options.eval_cache = &cache;
+    options.makespan_memo = &memo;
+    const SpecialInstructionSet seed_set =
+        config::build_platform(dse::degraded_seed(handbuilt).spec, &memo);
+    const WorkloadTrace trace = small_trace(seed_set);
+    const dse::DseResult result = dse::run_dse(trace, handbuilt, options);
+    cache_hits += result.cache_hits;
+    const auto naive = [&](const config::PlatformSpec& spec) {
+      return dse::evaluate_candidate_naive(spec, trace, result.reference_cycles, options);
+    };
+    const dse::EvalResult best = naive(result.best.point.spec);
+    EXPECT_EQ(best.slices, result.best.eval.slices);
+    EXPECT_EQ(best, result.best.eval);
+    ASSERT_EQ(result.front_specs.size(), result.front.size());
+    for (std::size_t i = 0; i < result.front.size(); ++i) {
+      const dse::EvalResult rescored = naive(result.front_specs[i]);
+      EXPECT_EQ(rescored.slices, result.front[i].slices) << "front member " << i;
+      EXPECT_EQ(rescored.mean_speedup, result.front[i].speedup) << "front member " << i;
+    }
+  }
+  EXPECT_GT(cache_hits, 0u);  // the searches do revisit ISAs
+}
+
 // Pareto invariants under a random insert stream: members are sorted by
 // slices with strictly increasing speedup (no member dominates another), and
 // dominates() agrees with membership.

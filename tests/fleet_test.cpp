@@ -10,8 +10,12 @@
 // wall-clock, never a simulated number.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,6 +31,7 @@
 #include "rtm/run_time_manager.h"
 #include "sched/registry.h"
 #include "sim/executor.h"
+#include "sim/trace.h"
 
 namespace rispp::fleet {
 namespace {
@@ -282,6 +287,65 @@ TEST(Fleet, TraceRepositoryMemoizes) {
   other_scheduler.scheduler = "SJF";
   other_scheduler.container_count = 4;
   EXPECT_EQ(&repo.get(other_scheduler), &first);
+}
+
+// A cached trace naming an SI id the set does not have (bit rot, or a file
+// written for another library) must be regenerated, never replayed: the
+// replay would abort on the first lookup of the bad id.
+TEST(Fleet, TraceRepositoryRegeneratesTracesWithOutOfRangeSiIds) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("rispp_fleet_bad_ids_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const char* saved = std::getenv("RISPP_TRACE_DIR");
+  const std::string saved_dir = saved != nullptr ? saved : "";
+  ::setenv("RISPP_TRACE_DIR", dir.c_str(), 1);
+
+  for (const Content content : {Content::kH264, Content::kJpeg}) {
+    SCOPED_TRACE(content == Content::kH264 ? "h264" : "jpeg");
+    const SessionSpec spec = small_session(content, 1, "HEF", 8);
+    const std::size_t si_count = TraceRepository().get(spec).set.si_count();
+
+    // Move one SI of the written cache file out of range, consistently in
+    // the hot-spot list, the executions and the runs, so every check of
+    // WorkloadTrace::load itself still passes.
+    fs::path file;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir))
+      if (e.path().extension() == ".rtrc" &&
+          e.path().filename().string().find(content == Content::kH264 ? "h264" : "jpeg") !=
+              std::string::npos)
+        file = e.path();
+    ASSERT_FALSE(file.empty());
+    WorkloadTrace bad = try_load_trace_file(file).value();
+    const SiId victim = bad.hot_spots[0].sis[0];
+    const auto bad_id = static_cast<SiId>(si_count + 7);
+    for (HotSpotInfo& hs : bad.hot_spots)
+      std::replace(hs.sis.begin(), hs.sis.end(), victim, bad_id);
+    for (HotSpotInstance& inst : bad.instances) {
+      std::replace(inst.executions.begin(), inst.executions.end(), victim, bad_id);
+      for (SiRun& run : inst.runs)
+        if (run.si == victim) run.si = bad_id;
+    }
+    save_trace_file(bad, file);
+    ASSERT_TRUE(try_load_trace_file(file).has_value());
+    EXPECT_FALSE(try_load_trace_file(file, si_count).has_value());
+
+    TraceRepository repo;
+    const TraceEntry& entry = repo.get(spec);
+    EXPECT_EQ(repo.disk_hits(), 0u);  // regenerated, not loaded
+    for (const HotSpotInfo& hs : entry.trace.hot_spots)
+      for (const SiId si : hs.sis) EXPECT_LT(si, si_count);
+    EXPECT_GT(solo_run(entry, spec, nullptr).total_cycles, 0u);
+    // The regenerated trace replaced the bad file.
+    EXPECT_TRUE(try_load_trace_file(file, si_count).has_value());
+  }
+
+  if (saved != nullptr)
+    ::setenv("RISPP_TRACE_DIR", saved_dir.c_str(), 1);
+  else
+    ::unsetenv("RISPP_TRACE_DIR");
+  fs::remove_all(dir);
 }
 
 TEST(Fleet, ExpandFleetSpecIsDeterministic) {

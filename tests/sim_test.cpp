@@ -1,6 +1,7 @@
 // Tests for traces, the cycle-level executor and bucketed statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "baselines/software_only.h"
@@ -205,6 +206,71 @@ TEST(Trace, RejectsInconsistentRuns) {
   std::stringstream ss;
   trace.save(ss);
   EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
+}
+
+TEST(Trace, RejectsRunOutsideItsHotSpotSis) {
+  // Hot spot B lists only SI 1; a run of SI 0 in a B instance is corruption,
+  // even though SI 0 is a valid id elsewhere in the trace.
+  WorkloadTrace trace = tiny_trace();
+  trace.instances[1].executions = {0, 0};
+  trace.build_runs();
+  EXPECT_EQ(trace.instances[1].run_index.slots, 0u);  // no index for such runs
+  std::stringstream ss;
+  trace.save(ss);
+  EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
+}
+
+TEST(Trace, HugeLengthFieldsFailBeforeAllocating) {
+  // Each length field is checked against the bytes left in the stream, so a
+  // corrupt count fails the load instead of asking for terabytes.
+  const auto stream_with = [](std::uint64_t executions, std::uint32_t name_length) {
+    std::stringstream ss;
+    const auto put = [&ss](const auto& v) {
+      ss.write(reinterpret_cast<const char*>(&v), sizeof v);
+    };
+    put(std::uint32_t{0x32545243});  // v2 magic
+    put(std::uint32_t{1});           // one hot spot
+    put(name_length);
+    put(std::uint32_t{1});  // its SI list: SI 0
+    put(SiId{0});
+    put(Cycles{5});
+    put(std::uint64_t{1});  // one instance
+    put(HotSpotId{0});
+    put(Cycles{100});
+    put(executions);
+    return ss;
+  };
+  auto huge_executions = stream_with(std::uint64_t{1} << 40, 0);
+  EXPECT_THROW(WorkloadTrace::load(huge_executions), std::logic_error);
+  auto huge_name = stream_with(1, 0xfffffff0u);
+  EXPECT_THROW(WorkloadTrace::load(huge_name), std::logic_error);
+}
+
+TEST(Trace, GeneratedRunsStayInsideTheirHotSpotSis) {
+  // Every run of a generated trace belongs to its hot spot's SI list, so
+  // every instance carries a run index after generation and after a load.
+  const auto check = [](const WorkloadTrace& trace) {
+    for (const HotSpotInstance& inst : trace.instances) {
+      const std::vector<SiId>& sis = trace.hot_spots[inst.hot_spot].sis;
+      for (const SiRun& run : inst.runs)
+        ASSERT_NE(std::find(sis.begin(), sis.end(), run.si), sis.end());
+      EXPECT_EQ(inst.run_index.slots, sis.size());
+    }
+    std::stringstream ss;
+    trace.save(ss);
+    for (const HotSpotInstance& inst : WorkloadTrace::load(ss).instances)
+      EXPECT_GT(inst.run_index.slots, 0u);
+  };
+  h264::WorkloadConfig h264_config;
+  h264_config.frames = 2;
+  h264_config.video.width = 96;
+  h264_config.video.height = 64;
+  check(h264::generate_h264_workload(h264sis::build_h264_si_set(), h264_config).trace);
+  jpeg::JpegWorkloadConfig jpeg_config;
+  jpeg_config.images = 2;
+  jpeg_config.width = 128;
+  jpeg_config.height = 96;
+  check(jpeg::generate_jpeg_workload(jpegsis::build_jpeg_si_set(), jpeg_config).trace);
 }
 
 TEST(Executor, SoftwareOnlyMatchesClosedForm) {

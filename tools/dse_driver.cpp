@@ -74,7 +74,7 @@ WorkloadTrace load_or_generate(const SpecialInstructionSet& set, int frames) {
   h264::WorkloadConfig config;
   config.frames = frames;
   const auto path = h264::trace_cache_path(set, config);
-  if (auto cached = try_load_trace_file(path)) return std::move(*cached);
+  if (auto cached = try_load_trace_file(path, set.si_count())) return std::move(*cached);
   std::fprintf(stderr, "[dse] encoding %d synthetic CIF frames (cached at %s)...\n", frames,
                path.string().c_str());
   WorkloadTrace trace = h264::generate_h264_workload(set, config).trace;
