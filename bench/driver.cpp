@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -16,10 +15,13 @@
 #include <limits>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 
 #include "base/check.h"
+#include "base/json_mini.h"
 #include "base/table.h"
 #include "base/trace_event.h"
 
@@ -69,141 +71,89 @@ std::string read_file(const std::filesystem::path& path) {
   return buffer.str();
 }
 
-// The records are our own fixed "key": value format (BenchPerfLog), so a
-// targeted scan beats a JSON dependency: find `"key"`, skip `: `, parse the
-// value. Good for both BENCH_<name>.json and BENCH_SUITE.json chunks.
-//
-// Hardening: because the scan is first-occurrence-wins, a duplicated key or
-// text after the closing brace would be silently (mis)accepted — and both
-// can only mean a corrupted or hand-mangled record, so they are loud errors
-// (RISPP_CHECK throws) instead.
+// Every record this driver reads (BENCH_<name>.json, METRICS.json,
+// BENCH_SUITE.json) is one JSON object parsed by json_mini, which rejects
+// malformed input, trailing garbage (a truncated write concatenated with an
+// older record, a merge artifact, ...) and nesting beyond its depth limit.
+// Lookups are by key, so a duplicated key — which could only mean a corrupted
+// or hand-mangled record, and would make the lookup pick one occurrence
+// silently — is a loud error (RISPP_CHECK throws) too.
 
-/// Rejects `text` containing `"key"` more than once (first occurrence wins
-/// in the scanners above, so a duplicate would silently shadow the rest).
-void check_no_duplicate_key(const std::string& text, const std::string& key,
-                            const std::string& context) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t first = text.find(needle);
-  if (first == std::string::npos) return;
-  RISPP_CHECK_MSG(text.find(needle, first + needle.size()) == std::string::npos,
-                  context << ": duplicate key " << needle);
+using jsonmini::JsonValue;
+
+/// Rejects an object that holds any key twice (json_mini keeps duplicates
+/// visible in file order).
+void check_unique_keys(const JsonValue& object, const std::string& context) {
+  std::set<std::string_view> seen;
+  for (const auto& [key, value] : object.object)
+    RISPP_CHECK_MSG(seen.insert(key).second, context << ": duplicate key \"" << key << "\"");
 }
 
-/// Index of the '}' closing the object whose '{' is at `text[open]`,
-/// honoring strings and escapes; npos when unbalanced.
-std::size_t balanced_object_end(const std::string& text, std::size_t open) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t p = open; p < text.size(); ++p) {
-    const char c = text[p];
-    if (in_string) {
-      if (c == '\\')
-        ++p;  // skip the escaped character
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) return p;
-    }
-  }
-  return std::string::npos;
+/// Parses `text` as exactly one JSON object with unique top-level keys.
+JsonValue parse_object(const std::string& text, const std::string& context) {
+  JsonValue doc;
+  std::string error;
+  RISPP_CHECK_MSG(jsonmini::parse_document(text, doc, error), context << ": " << error);
+  RISPP_CHECK_MSG(doc.kind == JsonValue::Kind::kObject, context << ": expected a JSON object");
+  check_unique_keys(doc, context);
+  return doc;
 }
 
-/// Rejects anything but one balanced {...} object surrounded by whitespace —
-/// in particular trailing garbage after the closing brace (a truncated write
-/// concatenated with an older record, a merge artifact, ...).
-void check_single_json_object(const std::string& text, const std::string& context) {
-  std::size_t p = 0;
-  while (p < text.size() && std::isspace(static_cast<unsigned char>(text[p]))) ++p;
-  RISPP_CHECK_MSG(p < text.size() && text[p] == '{',
-                  context << ": expected a JSON object");
-  const std::size_t end = balanced_object_end(text, p);
-  RISPP_CHECK_MSG(end != std::string::npos, context << ": unbalanced braces");
-  for (p = end + 1; p < text.size(); ++p)
-    RISPP_CHECK_MSG(std::isspace(static_cast<unsigned char>(text[p])),
-                    context << ": trailing garbage after the closing brace");
+std::optional<double> find_number(const JsonValue& object, std::string_view key) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr || value->kind != JsonValue::Kind::kNumber) return std::nullopt;
+  return value->number;
 }
 
-std::optional<double> find_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t p = at + needle.size();
-  while (p < text.size() && (text[p] == ':' || text[p] == ' ')) ++p;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str() + p, &end);
-  if (end == text.c_str() + p) return std::nullopt;
-  return value;
-}
-
-std::optional<std::string> find_string(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  at = text.find('"', at + needle.size() + 1);  // opening quote of the value
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t close = text.find('"', at + 1);
-  if (close == std::string::npos) return std::nullopt;
-  return text.substr(at + 1, close - at - 1);
+std::optional<std::string> find_string(const JsonValue& object, std::string_view key) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr || value->kind != JsonValue::Kind::kString) return std::nullopt;
+  return value->string;
 }
 
 std::optional<PerfRecord> parse_perf_text(const std::string& text,
                                           const std::string& context) {
-  check_single_json_object(text, context);
-  for (const char* key : {"bench", "wall_seconds", "cells", "cells_per_sec", "threads",
-                          "frames"})
-    check_no_duplicate_key(text, key, context);
-  const auto bench = find_string(text, "bench");
-  const auto wall = find_number(text, "wall_seconds");
+  const JsonValue doc = parse_object(text, context);
+  const auto bench = find_string(doc, "bench");
+  const auto wall = find_number(doc, "wall_seconds");
   if (!bench || !wall) return std::nullopt;
   PerfRecord record;
   record.bench = *bench;
   record.wall_seconds = *wall;
-  record.cells = find_number(text, "cells").value_or(0.0);
-  record.cells_per_sec = find_number(text, "cells_per_sec").value_or(0.0);
-  record.threads = find_number(text, "threads").value_or(0.0);
-  record.frames = find_number(text, "frames").value_or(0.0);
+  record.cells = find_number(doc, "cells").value_or(0.0);
+  record.cells_per_sec = find_number(doc, "cells_per_sec").value_or(0.0);
+  record.threads = find_number(doc, "threads").value_or(0.0);
+  record.frames = find_number(doc, "frames").value_or(0.0);
   return record;
 }
 
-/// Scans the flat `"name": number` pairs of one metrics subobject
-/// (text[open] == '{', text[close] == its '}') into `out`. Registry names
-/// never contain escapes, so the key scan is a plain quote-to-quote read.
-void parse_flat_metrics(const std::string& text, std::size_t open, std::size_t close,
-                        const std::string& context, std::map<std::string, double>& out) {
-  std::size_t p = open + 1;
-  const auto skip_ws = [&] {
-    while (p < close && std::isspace(static_cast<unsigned char>(text[p]))) ++p;
-  };
-  for (;;) {
-    skip_ws();
-    if (p >= close) break;
-    if (text[p] == ',') {
-      ++p;
-      continue;
-    }
-    RISPP_CHECK_MSG(text[p] == '"', context << ": expected a quoted metric name");
-    const std::size_t key_end = text.find('"', p + 1);
-    RISPP_CHECK_MSG(key_end != std::string::npos && key_end < close,
-                    context << ": unterminated metric name");
-    const std::string key = text.substr(p + 1, key_end - p - 1);
-    p = key_end + 1;
-    skip_ws();
-    RISPP_CHECK_MSG(p < close && text[p] == ':', context << ": expected ':' after " << key);
-    ++p;
-    skip_ws();
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str() + p, &end);
-    RISPP_CHECK_MSG(end != text.c_str() + p,
+/// Adds the `"name": number` pairs of one flat metrics object to `out`; a
+/// name already in `out` is a duplicate metric.
+void add_flat_metrics(const JsonValue& metrics, const std::string& context,
+                      std::map<std::string, double>& out) {
+  RISPP_CHECK_MSG(metrics.kind == JsonValue::Kind::kObject,
+                  context << ": metrics section is not an object");
+  for (const auto& [key, value] : metrics.object) {
+    RISPP_CHECK_MSG(value.kind == JsonValue::Kind::kNumber,
                     context << ": metric " << key << " has no numeric value");
-    p = static_cast<std::size_t>(end - text.c_str());
-    RISPP_CHECK_MSG(out.emplace(key, value).second, context << ": duplicate metric " << key);
+    RISPP_CHECK_MSG(out.emplace(key, value.number).second,
+                    context << ": duplicate metric " << key);
   }
+}
+
+/// The "reports" array of a BENCH_SUITE.json (null when absent); each entry
+/// must be an object with unique keys.
+const JsonValue* suite_reports(const JsonValue& suite, const std::string& context) {
+  const JsonValue* reports = suite.find("reports");
+  if (reports == nullptr) return nullptr;
+  RISPP_CHECK_MSG(reports->kind == JsonValue::Kind::kArray,
+                  context << ": reports is not an array");
+  for (const JsonValue& report : reports->array) {
+    RISPP_CHECK_MSG(report.kind == JsonValue::Kind::kObject,
+                    context << ": report entry is not an object");
+    check_unique_keys(report, context);
+  }
+  return reports;
 }
 
 /// The single BENCH_*.json a child wrote into its private json dir, if any.
@@ -239,60 +189,28 @@ std::map<std::string, double> parse_metrics_record(const std::filesystem::path& 
   std::map<std::string, double> metrics;
   const std::string text = read_file(path);
   if (text.empty()) return metrics;  // child wrote no snapshot: not an error
-  check_single_json_object(text, path.string());
-  for (const char* section : {"counters", "gauges"}) {
-    check_no_duplicate_key(text, section, path.string());
-    const std::string needle = "\"" + std::string(section) + "\"";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) continue;
-    const std::size_t open = text.find('{', at + needle.size());
-    RISPP_CHECK_MSG(open != std::string::npos,
-                    path.string() << ": " << section << " is not an object");
-    const std::size_t close = balanced_object_end(text, open);
-    RISPP_CHECK_MSG(close != std::string::npos,
-                    path.string() << ": unbalanced " << section << " object");
-    parse_flat_metrics(text, open, close, path.string(), metrics);
-  }
+  const std::string context = path.string();
+  const JsonValue doc = parse_object(text, context);
+  for (const char* section : {"counters", "gauges"})
+    if (const JsonValue* values = doc.find(section)) add_flat_metrics(*values, context, metrics);
   // Histogram series fold into the same flat map as
   // <name>.count/.sum/.min/.max/.p50/.p90/.p99 — the full bucket array stays
   // in the snapshot file (rispp_stats reads it); the suite record keeps the
   // summary shape a regression gate can diff.
-  check_no_duplicate_key(text, "histograms", path.string());
-  const std::size_t hist_at = text.find("\"histograms\"");
-  if (hist_at != std::string::npos) {
-    const std::size_t open = text.find('{', hist_at + 12);
-    RISPP_CHECK_MSG(open != std::string::npos,
-                    path.string() << ": histograms is not an object");
-    const std::size_t close = balanced_object_end(text, open);
-    RISPP_CHECK_MSG(close != std::string::npos,
-                    path.string() << ": unbalanced histograms object");
-    std::size_t p = open + 1;
-    while (p < close) {
-      // Histogram names may contain '{' / '}' (label suffixes) but those live
-      // inside JSON strings, so the quote-to-quote read and the string-aware
-      // balanced scan below both stay correct.
-      const std::size_t name_open = text.find('"', p);
-      if (name_open == std::string::npos || name_open >= close) break;
-      const std::size_t name_close = text.find('"', name_open + 1);
-      RISPP_CHECK_MSG(name_close != std::string::npos && name_close < close,
-                      path.string() << ": unterminated histogram name");
-      const std::string name = text.substr(name_open + 1, name_close - name_open - 1);
-      const std::size_t h_open = text.find('{', name_close + 1);
-      RISPP_CHECK_MSG(h_open != std::string::npos && h_open < close,
-                      path.string() << ": histogram " << name << " is not an object");
-      const std::size_t h_close = balanced_object_end(text, h_open);
-      RISPP_CHECK_MSG(h_close != std::string::npos && h_close < close,
-                      path.string() << ": unbalanced histogram " << name);
-      const std::string chunk = text.substr(h_open, h_close - h_open + 1);
+  if (const JsonValue* histograms = doc.find("histograms")) {
+    RISPP_CHECK_MSG(histograms->kind == JsonValue::Kind::kObject,
+                    context << ": histograms is not an object");
+    for (const auto& [name, histogram] : histograms->object) {
+      RISPP_CHECK_MSG(histogram.kind == JsonValue::Kind::kObject,
+                      context << ": histogram " << name << " is not an object");
       for (const char* field : {"count", "sum", "min", "max", "p50", "p90", "p99"}) {
-        const auto value = find_number(chunk, field);
+        const auto value = find_number(histogram, field);
         RISPP_CHECK_MSG(value.has_value(),
-                        path.string() << ": histogram " << name << " lacks " << field);
+                        context << ": histogram " << name << " lacks " << field);
         const std::string key = name + "." + field;
         RISPP_CHECK_MSG(metrics.emplace(key, *value).second,
-                        path.string() << ": duplicate metric " << key);
+                        context << ": duplicate metric " << key);
       }
-      p = h_close + 1;
     }
   }
   return metrics;
@@ -468,50 +386,25 @@ std::map<std::string, PerfRecord> load_baseline(const std::filesystem::path& pat
     }
     return baseline;
   }
-  // BENCH_SUITE.json: one {...} chunk per report inside "reports": [...].
+  // BENCH_SUITE.json: one object per report inside "reports": [...].
   const std::string text = read_file(path);
   // A missing/unreadable baseline stays an *empty* map — the CLI reports
   // that case with its own clean diagnostic; the strict checks below only
   // police content that was actually read.
   if (text.empty()) return baseline;
-  check_single_json_object(text, path.string());
-  check_no_duplicate_key(text, "reports", path.string());
-  const std::size_t reports = text.find("\"reports\"");
-  std::size_t at = reports == std::string::npos ? std::string::npos
-                                                : text.find('{', reports);
-  while (at != std::string::npos) {
-    // Balanced scan, not find('}'): a report chunk may hold a nested
-    // "metrics" subobject whose first '}' is not the chunk's end.
-    const std::size_t close = balanced_object_end(text, at);
-    if (close == std::string::npos) break;
-    std::string chunk = text.substr(at, close - at + 1);
-    // Strip the metrics subobject before the flat scans below: its registry
-    // names are arbitrary and must never shadow (or dup-flag) a report key.
-    const std::size_t metrics_at = chunk.find("\"metrics\"");
-    if (metrics_at != std::string::npos) {
-      const std::size_t metrics_open = chunk.find('{', metrics_at);
-      const std::size_t metrics_close =
-          metrics_open == std::string::npos
-              ? std::string::npos
-              : balanced_object_end(chunk, metrics_open);
-      if (metrics_close != std::string::npos)
-        chunk.erase(metrics_at, metrics_close - metrics_at + 1);
-    }
-    // Duplicate keys inside one report chunk would silently shadow the scan.
-    for (const char* key :
-         {"name", "exit_code", "wall_seconds", "bench", "cells", "cells_per_sec", "threads"})
-      check_no_duplicate_key(chunk, key, path.string());
-    const auto name = find_string(chunk, "name");
-    const auto wall = find_number(chunk, "wall_seconds");
-    if (name && wall) {
-      PerfRecord record;
-      record.bench = find_string(chunk, "bench").value_or(*name);
-      record.wall_seconds = *wall;
-      record.cells = find_number(chunk, "cells").value_or(0.0);
-      record.cells_per_sec = find_number(chunk, "cells_per_sec").value_or(0.0);
-      baseline[*name] = record;
-    }
-    at = text.find('{', close);
+  const JsonValue suite = parse_object(text, path.string());
+  const JsonValue* reports = suite_reports(suite, path.string());
+  if (reports == nullptr) return baseline;
+  for (const JsonValue& report : reports->array) {
+    const auto name = find_string(report, "name");
+    const auto wall = find_number(report, "wall_seconds");
+    if (!name || !wall) continue;
+    PerfRecord record;
+    record.bench = find_string(report, "bench").value_or(*name);
+    record.wall_seconds = *wall;
+    record.cells = find_number(report, "cells").value_or(0.0);
+    record.cells_per_sec = find_number(report, "cells_per_sec").value_or(0.0);
+    baseline[*name] = record;
   }
   return baseline;
 }
@@ -521,31 +414,16 @@ std::map<std::string, std::map<std::string, double>> load_baseline_metrics(
   std::map<std::string, std::map<std::string, double>> baseline;
   const std::string text = read_file(path);
   if (text.empty()) return baseline;
-  check_single_json_object(text, path.string());
-  check_no_duplicate_key(text, "reports", path.string());
-  const std::size_t reports = text.find("\"reports\"");
-  std::size_t at = reports == std::string::npos ? std::string::npos
-                                                : text.find('{', reports);
-  while (at != std::string::npos) {
-    const std::size_t close = balanced_object_end(text, at);
-    if (close == std::string::npos) break;
-    const std::string chunk = text.substr(at, close - at + 1);
-    // The report name comes first in write_suite's chunk layout, so the
-    // first-occurrence scan reads it before any metric key could shadow it.
-    const auto name = find_string(chunk, "name");
-    const std::size_t metrics_at = chunk.find("\"metrics\"");
-    if (name && metrics_at != std::string::npos) {
-      const std::size_t metrics_open = chunk.find('{', metrics_at);
-      RISPP_CHECK_MSG(metrics_open != std::string::npos,
-                      path.string() << ": metrics of " << *name << " is not an object");
-      const std::size_t metrics_close = balanced_object_end(chunk, metrics_open);
-      RISPP_CHECK_MSG(metrics_close != std::string::npos,
-                      path.string() << ": unbalanced metrics of " << *name);
-      std::map<std::string, double> flat;
-      parse_flat_metrics(chunk, metrics_open, metrics_close, path.string(), flat);
-      if (!flat.empty()) baseline[*name] = std::move(flat);
-    }
-    at = text.find('{', close);
+  const JsonValue suite = parse_object(text, path.string());
+  const JsonValue* reports = suite_reports(suite, path.string());
+  if (reports == nullptr) return baseline;
+  for (const JsonValue& report : reports->array) {
+    const auto name = find_string(report, "name");
+    const JsonValue* metrics = report.find("metrics");
+    if (!name || metrics == nullptr) continue;
+    std::map<std::string, double> flat;
+    add_flat_metrics(*metrics, path.string(), flat);
+    if (!flat.empty()) baseline[*name] = std::move(flat);
   }
   return baseline;
 }

@@ -77,17 +77,17 @@ bool glob_match(const std::string& pattern, const std::string& name);
 std::vector<std::filesystem::path> discover_reports(const std::filesystem::path& bench_dir);
 
 /// Parses one BENCH_<name>.json; nullopt when the expected keys are absent.
-/// Structural corruption — trailing garbage after the closing brace or a
-/// duplicated key (which the first-occurrence scan would silently shadow) —
-/// throws with a message naming the file, never parses wrong.
+/// Structural corruption — malformed JSON, trailing garbage after the
+/// closing brace or a duplicated key — throws with a message naming the
+/// file, never parses wrong.
 std::optional<PerfRecord> parse_perf_record(const std::filesystem::path& path);
 
 /// Parses a METRICS.json registry snapshot ({"counters": {...}, "gauges":
 /// {...}, "histograms": {...}}) into one flat name → value map; each
 /// histogram folds to <name>.count/.sum/.min/.max/.p50/.p90/.p99 (the bucket
 /// arrays stay in the snapshot file — rispp_stats reads those). A missing or
-/// empty file yields an empty map; structural corruption (trailing garbage,
-/// unbalanced braces, duplicated metric names) throws with a message naming
+/// empty file yields an empty map; structural corruption (malformed JSON,
+/// trailing garbage, duplicated metric names) throws with a message naming
 /// the file.
 std::map<std::string, double> parse_metrics_record(const std::filesystem::path& path);
 

@@ -1,9 +1,7 @@
 // Multi-tenant contention: the fleet's aggregate speedup and per-tenant
 // simulated-cycle percentiles as 1, 2, 4, 8 and 16 applications share one
 // device's fabric through the FabricArbiter, under both partition modes
-// (DESIGN §9). The co-simulation runs in the default event-horizon
-// fast-forward mode (DESIGN §9.1) — bit-identical to the instance-stepped
-// reference, so the numbers are comparable across PRs either way.
+// (DESIGN §9), co-simulated by run_tenants' min-clock loop (DESIGN §9.1).
 //
 // Shape to look for: at 1 tenant both modes reproduce the solo speedup
 // exactly (the arbiter degenerates to the private fabric — the equivalence

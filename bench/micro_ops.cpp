@@ -591,35 +591,11 @@ BENCHMARK(BM_FleetCrossSessionSteal)
     ->Arg(static_cast<int>(parallel_thread_count()))
     ->Unit(benchmark::kMillisecond);
 
-// Min-clock pick for the co-simulation: one pop+push cycle on a heap of 64
-// tenants (kMaxTenants) — the per-epoch cost that replaced the O(n) scan in
-// run_tenants. Deterministic clock stream from a seeded PRNG.
-void BM_TenantMinHeapPick(benchmark::State& state) {
-  Xoshiro256 prng(0xc0513);
-  MinClockHeap heap;
-  heap.reset(FabricArbiter::kMaxTenants);
-  for (std::uint32_t i = 0; i < FabricArbiter::kMaxTenants; ++i)
-    heap.push({prng.next() % 1'000'000, i});
-  for (auto _ : state) {
-    MinClockHeap::Item item = heap.pop();
-    item.clock += 1 + prng.next() % 4'096;
-    heap.push(item);
-    benchmark::DoNotOptimize(heap.top().clock);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TenantMinHeapPick);
-
-// End-to-end co-simulation of one device (3 tenants sharing a fabric),
-// fast-forward vs instance-stepped reference — the tentpole speedup this PR
-// exists for. The mix is tuned so the device actually reaches the quiescent
-// steady state the overrun exploits (see Cosim.HorizonOverrunEngagesWith-
-// StaticSeeds): static-seed forecasts so decide() keys repeat, a quota
-// covering JPEG's whole working set so steady-state decisions schedule zero
-// loads, and sessions long enough that the serial-port warm-up is a prefix.
-// Static setup outside the timed loop; each iteration rebuilds the arbiter +
-// RTMs (cheap) and re-runs the co-sim.
-void BM_CosimFastForward(benchmark::State& state) {
+// End-to-end co-simulation of one device (3 JPEG tenants sharing a fabric
+// under static partitioning) through run_tenants' min-clock loop — the
+// co-sim layer's micro benchmark. Static setup outside the timed loop; each
+// iteration rebuilds the arbiter + RTMs (cheap) and re-runs the co-sim.
+void BM_Cosim(benchmark::State& state) {
   std::vector<fleet::SessionSpec> specs(3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].content = fleet::Content::kJpeg;
@@ -633,10 +609,6 @@ void BM_CosimFastForward(benchmark::State& state) {
   fleet::TraceRepository repo;
   std::vector<const fleet::TraceEntry*> entries;
   for (const auto& spec : specs) entries.push_back(&repo.get(spec));
-  const CosimMode mode =
-      state.range(0) == 0 ? CosimMode::kReference : CosimMode::kFastForward;
-  std::unique_ptr<ThreadPool> pool;
-  if (state.range(0) == 2) pool = std::make_unique<ThreadPool>(4);
   for (auto _ : state) {
     ArbiterConfig arb_config;
     arb_config.total_containers = static_cast<unsigned>(specs.size()) * 20;
@@ -664,19 +636,13 @@ void BM_CosimFastForward(benchmark::State& state) {
       runs[i].trace = &entries[i]->trace;
       runs[i].rtm = rtms[i].get();
     }
-    CosimOptions options;
-    options.mode = mode;
-    options.pool = pool.get();
-    const auto results = run_tenants(arbiter, std::span<TenantRun>(runs), options);
+    const auto results = run_tenants(arbiter, std::span<TenantRun>(runs));
     benchmark::DoNotOptimize(results.front().total_cycles);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(specs.size()));
-  state.SetLabel(state.range(0) == 0   ? "reference"
-                 : state.range(0) == 1 ? "fast-forward"
-                                       : "fast-forward+pool4");
 }
-BENCHMARK(BM_CosimFastForward)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Cosim)->Unit(benchmark::kMillisecond);
 
 // A typical mid-search DSE candidate: the degraded seed of the hand-built
 // platform plus a few work-preserving mutations.

@@ -96,11 +96,7 @@ ContendedReport run_contended_fleet(const std::vector<SessionSpec>& specs,
     }
     arbiter.check_invariants();
 
-    CosimOptions cosim;
-    cosim.mode = options.cosim;
-    cosim.pool = options.parallel_tenants ? &pool : nullptr;
-    std::vector<SimResult> device_results =
-        run_tenants(arbiter, std::span<TenantRun>(runs), cosim);
+    std::vector<SimResult> device_results = run_tenants(arbiter, std::span<TenantRun>(runs));
     arbiter.check_invariants();
     for (std::size_t i = 0; i < k; ++i)
       session_results[first + i] = std::move(device_results[i]);

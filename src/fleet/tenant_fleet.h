@@ -40,14 +40,6 @@ struct ContendedOptions {
   ThreadPool* pool = nullptr;
   /// Trace repository; null uses the global one.
   TraceRepository* traces = nullptr;
-  /// Per-device co-simulation mode: the epoch-based fast-forward (default)
-  /// or the instance-stepped reference oracle. Bit-identical results.
-  CosimMode cosim = CosimMode::kFastForward;
-  /// Also step one device's tenants in parallel during quiescent epochs
-  /// (kFastForward only). With devices already fanned over the pool this
-  /// degenerates serial (reentrant parallel_for runs inline); it pays off
-  /// for few-device, many-tenant shapes.
-  bool parallel_tenants = false;
 };
 
 struct ContendedReport {

@@ -30,9 +30,7 @@
 // multi-tenant version of Figure 4's port timeline).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -145,39 +143,6 @@ class FabricArbiter {
   std::uint64_t fabric_generation(TenantId t) const;
   Cycles last_fabric_event(TenantId t) const;
 
-  // -- Event horizon (DESIGN §9.1) ---------------------------------------
-  /// "No pending fabric event": next_event_cycle / quiescent_until return
-  /// this when nothing scheduled can ever affect the tenant/device.
-  static constexpr Cycles kNoEvent = std::numeric_limits<Cycles>::max();
-
-  /// Earliest future cycle at which any pending fabric event can affect
-  /// tenant `t`, assuming no tenant issues further port requests before
-  /// then: its own in-flight load's completion, the port becoming free for
-  /// its standing claim (with any starvation-bound promotion folded into the
-  /// grant it then competes for), or — under kBenefitWeighted with more than
-  /// one tenant — `now` itself, because any other tenant's next decision
-  /// point may hit a rebalance_period boundary and evict this tenant's
-  /// atoms. kNoEvent means the tenant is beyond every horizon: nothing the
-  /// fabric has scheduled can reach it. The value is valid until the
-  /// tenant's own next arbiter call or a fabric_generation(t) bump,
-  /// whichever comes first (the co-simulation recomputes per epoch).
-  Cycles next_event_cycle(TenantId t, Cycles now) const;
-
-  /// Device-wide horizon: the earliest pending fabric event across all
-  /// tenants (min in-flight completion; `now` while any claim stands or a
-  /// weighted rebalance could fire). kNoEvent = the device is quiescent —
-  /// with no tenant asking for the port, fabric state cannot change at all.
-  Cycles quiescent_until(Cycles now) const;
-
-  /// True while a quota rebalance can fire at a future decision point
-  /// (kBenefitWeighted with more than one registered tenant). While false,
-  /// fabric_generation(t) is frozen for every tenant and decision points
-  /// commute across tenants — the precondition for the co-simulation's
-  /// out-of-order fast-forward (DESIGN §9.1).
-  bool rebalance_possible() const {
-    return config_.partition == PartitionMode::kBenefitWeighted && tenants_.size() > 1;
-  }
-
   // -- Introspection ------------------------------------------------------
   std::size_t tenant_count() const { return tenants_.size(); }
   unsigned quota(TenantId t) const;
@@ -235,6 +200,11 @@ class FabricArbiter {
   /// Disables up to `count` of the tenant's least-valuable enabled
   /// containers (never kLoading); returns how many were disabled.
   unsigned shrink_tenant(TenantId t, unsigned count, Cycles now);
+  /// True while a quota rebalance can fire at a future decision point
+  /// (kBenefitWeighted with more than one registered tenant).
+  bool rebalance_possible() const {
+    return config_.partition == PartitionMode::kBenefitWeighted && tenants_.size() > 1;
+  }
 
   ArbiterConfig config_;
   std::vector<Tenant> tenants_;
@@ -242,10 +212,7 @@ class FabricArbiter {
   std::uint64_t grants_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t port_wait_cycles_ = 0;
-  // Atomic so the co-simulation's parallel quiescent-epoch sweep (which only
-  // runs while rebalance_possible() is false, i.e. the count cannot trigger
-  // a rebalance) can count decision points from worker threads.
-  std::atomic<std::uint64_t> decision_points_{0};
+  std::uint64_t decision_points_ = 0;
 };
 
 }  // namespace rispp

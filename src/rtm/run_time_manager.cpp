@@ -334,51 +334,6 @@ void RunTimeManager::compute_prefetch() {
   RISPP_DEBUG("prefetching " << prefetch_loads_.size() << " atoms for hot spot " << next);
 }
 
-bool RunTimeManager::entry_is_port_silent(const WorkloadTrace& trace,
-                                          std::size_t instance) const {
-  // Only meaningful under an arbiter, and only sound while quotas are
-  // frozen: a pending rebalance could shrink cf_ between this probe and the
-  // entry it predicts, invalidating the budget baked into the key below.
-  if (config_.arbiter == nullptr || config_.arbiter->rebalance_possible()) return false;
-  // Prefetch keeps asking the port after the schedule drains; the oracle
-  // forecast is rebuilt per instance (cheap to probe but decide() bypasses
-  // the memo's steady state far more often); the shared cache mutates under
-  // a lock on every lookup. All three fall back to normal stepping.
-  if (config_.enable_prefetch || config_.forecast_mode == ForecastMode::kOracle) return false;
-  if (!config_.enable_decision_cache || config_.shared_decision_cache != nullptr) return false;
-  // Anything queued or in flight makes the entry port-active by definition.
-  if (!reconfig_idle()) return false;
-
-  const HotSpotId hs = trace.instances[instance].hot_spot;
-  const HotSpotInfo& info = trace.hot_spots[hs];
-  // The forecast the entry will read. monitor_.forecast() is a plain getter
-  // (folding happens at end_hot_spot, which already ran for the previous
-  // instance), so this equals what on_hot_spot_entry sees.
-  const std::vector<std::uint64_t>& forecast = config_.forecast_mode == ForecastMode::kMonitored
-                                                   ? monitor_.forecast(hs)
-                                                   : seeds_[hs];
-  const Molecule& ready = cf_->ready_atoms();
-  const unsigned budget = cf_->active();
-
-  // decide()'s key digest, byte-for-byte (see the cached branch there).
-  std::uint64_t hash = fingerprint_mix(0, info.sis.size());
-  for (SiId si : info.sis) hash = fingerprint_mix(hash, si);
-  for (std::uint64_t f : forecast) hash = fingerprint_mix(hash, f);
-  for (std::size_t t = 0; t < ready.dimension(); ++t) hash = fingerprint_mix(hash, ready[t]);
-  hash = fingerprint_mix(hash, budget);
-
-  const auto bucket_it = decision_cache_.find(hash);
-  if (bucket_it == decision_cache_.end()) return false;
-  for (const auto entry_it : bucket_it->second) {
-    if (entry_it->budget == budget && entry_it->sis == info.sis &&
-        entry_it->forecast == forecast && entry_it->ready == ready) {
-      // No splice, no counters: the replayed entry performs those itself.
-      return entry_it->loads.empty();
-    }
-  }
-  return false;
-}
-
 const RunTimeManager::DecisionEntry& RunTimeManager::decide(
     const std::vector<SiId>& sis, const std::vector<std::uint64_t>& forecast,
     unsigned budget) {

@@ -122,25 +122,6 @@ class RunTimeManager final : public WindowedBackend {
                                       : port_.completed_loads();
   }
 
-  // -- Co-simulation fast-forward (rtm/tenant_sim.cpp, DESIGN §9.1) ----
-  /// No load in flight and both load queues drained: entering a hot spot is
-  /// the only thing that could next touch the reconfiguration port.
-  bool reconfig_idle() const {
-    return !fabric_loading() && pending_loads_.empty() && prefetch_loads_.empty();
-  }
-  /// Conservative probe: would replaying `instance` be *port-silent* — no
-  /// port request, no load completion, no queued load left behind? True only
-  /// when the reconfig machinery is idle AND the entry's decision is already
-  /// memoized with an empty load sequence, checked against the exact key
-  /// decide() would build (same hash, same full-key compare) without
-  /// touching the cache's recency state or counters. False negatives are
-  /// fine (the caller falls back to normal stepping); false positives would
-  /// break bit-exactness, so every precondition decide() bakes into the key
-  /// (forecast mode, prefetch, private cache) is checked here. Only
-  /// meaningful under an arbiter with rebalance_possible() == false — a
-  /// port-silent entry then commutes with other tenants' steps (DESIGN §9.1).
-  bool entry_is_port_silent(const WorkloadTrace& trace, std::size_t instance) const;
-
   // -- Introspection (tests, Figure 8 analysis) ------------------------
   const Molecule& ready_atoms() const { return cf_->ready_atoms(); }
   const std::vector<SiRef>& current_selection() const { return selection_; }

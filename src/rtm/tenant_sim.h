@@ -10,22 +10,8 @@
 // "in the past" of a grant another tenant already received more than one
 // instance ahead. With one tenant this degenerates to run_trace(kBatched) and
 // is bit-identical to it.
-//
-// Two co-simulation modes produce bit-exact identical results:
-//  - kReference: one instance per min-clock pick, O(n) scan — the oracle.
-//  - kFastForward (DESIGN §9.1): epoch-based. The min-clock pick comes from
-//    a binary heap keyed (clock, tenant id); the picked tenant replays
-//    instances until its clock passes the runner-up (identical order to the
-//    reference), then — while the arbiter's event horizon reports no pending
-//    fabric event and each upcoming entry probes port-silent — keeps
-//    fast-forwarding past the runner-up (out of order, but every skipped-over
-//    operation commutes). Optionally, tenants of one device step in parallel
-//    during quiescent epochs (CosimOptions::pool), with a deterministic
-//    thread-count-invariant merge.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,8 +21,6 @@
 #include "sim/trace.h"
 
 namespace rispp {
-
-class ThreadPool;
 
 /// One tenant of the co-simulation. The RTM must have been constructed with
 /// config.arbiter = the arbiter passed to run_tenants and config.tenant =
@@ -50,70 +34,13 @@ struct TenantRun {
   SimStats* stats = nullptr;
 };
 
-enum class CosimMode : std::uint8_t {
-  kFastForward,  // epoch-based fast-forward (the default; bit-exact)
-  kReference,    // instance-at-a-time min-clock stepping (the oracle)
-};
-
-struct CosimOptions {
-  CosimMode mode = CosimMode::kFastForward;
-  /// When set (kFastForward only), tenants of this device replay their
-  /// port-silent prefixes in parallel during quiescent epochs. Results are
-  /// thread-count-invariant: each tenant's prefix depends only on its own
-  /// state. Ignored while the arbiter reports rebalance_possible().
-  ThreadPool* pool = nullptr;
-};
-
-/// The fast-forward scheduler's pick queue: a binary min-heap keyed
-/// (clock, tenant id) so ties break to the lowest id exactly like the
-/// reference's linear scan. Inline so micro_ops can bench it directly.
-class MinClockHeap {
- public:
-  struct Item {
-    Cycles clock = 0;
-    std::uint32_t id = 0;
-  };
-
-  /// The reference pick order: earlier clock first, lower id on ties.
-  static bool before(const Item& a, const Item& b) {
-    return a.clock < b.clock || (a.clock == b.clock && a.id < b.id);
-  }
-
-  void reset(std::size_t capacity) {
-    items_.clear();
-    items_.reserve(capacity);
-  }
-  bool empty() const { return items_.empty(); }
-  std::size_t size() const { return items_.size(); }
-  const Item& top() const { return items_.front(); }
-  void push(Item item) {
-    items_.push_back(item);
-    std::push_heap(items_.begin(), items_.end(), &MinClockHeap::after);
-  }
-  Item pop() {
-    std::pop_heap(items_.begin(), items_.end(), &MinClockHeap::after);
-    const Item item = items_.back();
-    items_.pop_back();
-    return item;
-  }
-
- private:
-  // std:: heap algorithms build max-heaps: "greater" under this comparator
-  // (i.e. picked later) sinks, so the front is the reference's next pick.
-  static bool after(const Item& a, const Item& b) { return before(b, a); }
-
-  std::vector<Item> items_;
-};
-
 /// Replays every tenant's trace to completion and returns one SimResult per
 /// tenant (same semantics as run_trace per tenant: total_cycles is the
 /// tenant's own clock, atom_loads its completed port loads — an empty trace
 /// yields total_cycles 0 and whatever loads already completed). Tenants that
 /// finish retire from the arbiter so the remaining tenants' port claims
-/// stay live. Both CosimModes return bit-identical results
-/// (tests/cosim_test.cpp byte-compares SimResult + SimStats across
-/// schedulers, partition modes, tenant counts and thread counts).
-std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> tenants,
-                                   const CosimOptions& options = {});
+/// stay live. tests/cosim_test.cpp pins every tenant's SimResult + SimStats
+/// with golden digests across schedulers, partition modes and tenant counts.
+std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> tenants);
 
 }  // namespace rispp

@@ -15,10 +15,9 @@
 //    events a run of N executions advances in O(1) instead of O(N).
 //
 // replay_instance never mutates the trace and touches only its backend's
-// state — the contract the multi-tenant co-simulation's event-horizon
-// fast-forward (rtm/tenant_sim.cpp, DESIGN §9.1) builds on: whole instances
-// of one tenant fast-forward through this body while the shared fabric is
-// provably quiet for every other tenant.
+// state — the contract the multi-tenant co-simulation (rtm/tenant_sim.cpp)
+// builds on: it interleaves the tenants' instances through this body in
+// min-clock order.
 #pragma once
 
 #include <cstdint>

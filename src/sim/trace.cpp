@@ -245,6 +245,15 @@ WorkloadTrace WorkloadTrace::load(std::istream& is) {
       RISPP_CHECK_MSG(run.count > 0, "empty run in trace");
       RISPP_CHECK_MSG(std::binary_search(sorted.begin(), sorted.end(), run.si),
                       "trace run of SI " << run.si << " outside its hot spot's SI list");
+      RISPP_CHECK_MSG(run.count <= n - run_total,
+                      "trace runs inconsistent with execution count");
+      // The run must replay exactly the executions it covers. Branch-free so
+      // the compare vectorizes; it runs over every execution of the trace.
+      const SiId* span = inst.executions.data() + run_total;
+      unsigned mismatch = 0;
+      for (std::uint32_t k = 0; k < run.count; ++k) mismatch |= span[k] ^ run.si;
+      RISPP_CHECK_MSG(mismatch == 0, "trace run of SI " << run.si
+                                         << " disagrees with the executions it covers");
       run_total += run.count;
       // Totals come from the runs, so the rebuild scan is skipped entirely.
       if (run.si >= trace.executions_per_si_.size())

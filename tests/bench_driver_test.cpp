@@ -446,7 +446,32 @@ TEST(ScannerHardening, QuotedBracesAndEscapesDoNotConfuseTheObjectCheck) {
   std::ofstream(path) << "{\"bench\": \"br{ce}s\\\"\", \"wall_seconds\": 1.0}\n";
   const auto record = parse_perf_record(path);
   ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->bench, "br{ce}s\\");  // find_string stops at the escape
+  EXPECT_EQ(record->bench, "br{ce}s\"");  // the escaped quote decodes
+  fs::remove_all(dir);
+}
+
+TEST(ScannerHardening, DeepNestingFailsWithAnErrorNotACrash) {
+  // 2M levels would overflow the stack of a recursive parser; the reader's
+  // depth limit turns it into an ordinary load error.
+  const fs::path dir = fs::path(::testing::TempDir()) / "rispp_scan_deep";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path path = dir / "BENCH_SUITE.json";
+  constexpr std::size_t kPairs = 1'000'000;  // an object and an array each
+  {
+    std::ofstream out(path);
+    out << "{\"reports\": [{\"name\": \"alpha\", \"wall_seconds\": 1.5, \"metrics\": ";
+    for (std::size_t i = 0; i < kPairs; ++i) out << "{\"x\": [";
+    out << "1";
+    for (std::size_t i = 0; i < kPairs; ++i) out << "]}";
+    out << "}]}\n";
+  }
+  try {
+    load_baseline(path);
+    ADD_FAILURE() << "a 2M-deep suite file loaded";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
+  }
   fs::remove_all(dir);
 }
 

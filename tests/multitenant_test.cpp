@@ -386,55 +386,49 @@ TEST(Multitenant, ContendedFleetIsDeterministicAcrossThreadCounts) {
 TEST(Multitenant, EmptyTraceTenantsFinalizeAndRetireCleanly) {
   // A tenant whose trace has zero instances must retire immediately with
   // run_trace's semantics — total_cycles 0 and atom_loads populated from its
-  // RTM (not left default-initialized) — in both co-simulation modes, while
-  // the remaining tenants replay normally and identically across modes.
+  // RTM (not left default-initialized) — while the remaining tenants replay
+  // normally.
   TraceRepository repo;
   const SessionSpec spec = small_session(Content::kH264, 2, "HEF", 6);
   const TraceEntry& entry = repo.get(spec);
   WorkloadTrace empty_trace = entry.trace;
   empty_trace.instances.clear();
 
-  for (const CosimMode mode : {CosimMode::kReference, CosimMode::kFastForward}) {
-    SCOPED_TRACE(mode == CosimMode::kReference ? "reference" : "fast-forward");
-    ArbiterConfig config;
-    config.total_containers = 18;
-    FabricArbiter arbiter(config);
-    TenantConfig tenant;
-    tenant.quota = 6;
-    std::vector<TenantId> ids(3);
-    for (auto& id : ids) id = arbiter.add_tenant(tenant);
+  ArbiterConfig config;
+  config.total_containers = 18;
+  FabricArbiter arbiter(config);
+  TenantConfig tenant;
+  tenant.quota = 6;
+  std::vector<TenantId> ids(3);
+  for (auto& id : ids) id = arbiter.add_tenant(tenant);
 
-    std::vector<std::unique_ptr<AtomScheduler>> schedulers(3);
-    std::vector<std::unique_ptr<RunTimeManager>> rtms(3);
-    std::vector<TenantRun> runs(3);
-    for (std::size_t i = 0; i < 3; ++i) {
-      schedulers[i] = make_scheduler(spec.scheduler);
-      RtmConfig rc;
-      rc.scheduler = schedulers[i].get();
-      rc.arbiter = &arbiter;
-      rc.tenant = ids[i];
-      rtms[i] = std::make_unique<RunTimeManager>(&entry.set, entry.trace.hot_spots.size(), rc);
-      seed_from_entry(entry, *rtms[i]);
-      runs[i].tenant = ids[i];
-      runs[i].rtm = rtms[i].get();
-      runs[i].trace = i == 1 ? &empty_trace : &entry.trace;
-    }
-    CosimOptions options;
-    options.mode = mode;
-    const auto results = run_tenants(arbiter, std::span<TenantRun>(runs), options);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[1].total_cycles, 0u);
-    EXPECT_EQ(results[1].si_executions, 0u);
-    EXPECT_EQ(results[1].atom_loads, rtms[1]->completed_loads());
-    EXPECT_EQ(results[1].hot_spot_cycles,
-              std::vector<Cycles>(empty_trace.hot_spots.size(), 0));
-    // The empty tenant left the round-robin before the first pick: the two
-    // real tenants ran an ordinary 2-claimant co-simulation.
-    EXPECT_GT(results[0].total_cycles, 0u);
-    EXPECT_GT(results[2].total_cycles, 0u);
-    EXPECT_EQ(results[0].si_executions, results[2].si_executions);
-    arbiter.check_invariants();
+  std::vector<std::unique_ptr<AtomScheduler>> schedulers(3);
+  std::vector<std::unique_ptr<RunTimeManager>> rtms(3);
+  std::vector<TenantRun> runs(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    schedulers[i] = make_scheduler(spec.scheduler);
+    RtmConfig rc;
+    rc.scheduler = schedulers[i].get();
+    rc.arbiter = &arbiter;
+    rc.tenant = ids[i];
+    rtms[i] = std::make_unique<RunTimeManager>(&entry.set, entry.trace.hot_spots.size(), rc);
+    seed_from_entry(entry, *rtms[i]);
+    runs[i].tenant = ids[i];
+    runs[i].rtm = rtms[i].get();
+    runs[i].trace = i == 1 ? &empty_trace : &entry.trace;
   }
+  const auto results = run_tenants(arbiter, std::span<TenantRun>(runs));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[1].total_cycles, 0u);
+  EXPECT_EQ(results[1].si_executions, 0u);
+  EXPECT_EQ(results[1].atom_loads, rtms[1]->completed_loads());
+  EXPECT_EQ(results[1].hot_spot_cycles, std::vector<Cycles>(empty_trace.hot_spots.size(), 0));
+  // The empty tenant left the round-robin before the first pick: the two
+  // real tenants ran an ordinary 2-claimant co-simulation.
+  EXPECT_GT(results[0].total_cycles, 0u);
+  EXPECT_GT(results[2].total_cycles, 0u);
+  EXPECT_EQ(results[0].si_executions, results[2].si_executions);
+  arbiter.check_invariants();
 }
 
 TEST(Multitenant, OversubscribedQuotasAreAHardError) {

@@ -220,6 +220,30 @@ TEST(Trace, RejectsRunOutsideItsHotSpotSis) {
   EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
 }
 
+TEST(Trace, RejectsRunsThatDisagreeWithTheirExecutions) {
+  // Run counts that sum to the execution count are not enough: each run's SI
+  // must match every execution it covers, or the batched and scalar replay
+  // paths would see two different traces.
+  {
+    // A wrong SI that is still in hot spot A's list.
+    WorkloadTrace trace = tiny_trace();
+    trace.build_runs();
+    trace.instances[0].runs[1].si = 0;
+    std::stringstream ss;
+    trace.save(ss);
+    EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
+  }
+  {
+    // An execution id that no run covers.
+    WorkloadTrace trace = tiny_trace();
+    trace.build_runs();
+    trace.instances[1].executions[1] = 7;
+    std::stringstream ss;
+    trace.save(ss);
+    EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
+  }
+}
+
 TEST(Trace, HugeLengthFieldsFailBeforeAllocating) {
   // Each length field is checked against the bytes left in the stream, so a
   // corrupt count fails the load instead of asking for terabytes.

@@ -17,11 +17,7 @@
 // sessions share one device's fabric through a FabricArbiter
 // (--acs-per-tenant, --floor, --partition static|weighted), and the report
 // shifts to simulated contention — aggregate speedup over software-only and
-// per-tenant simulated-cycle percentiles (fleet/tenant_fleet.h). --cosim
-// picks the per-device co-simulation: the event-horizon fast-forward
-// (default, DESIGN §9.1) or the instance-stepped reference oracle —
-// bit-identical results either way; --parallel-tenants additionally steps
-// one device's tenants in parallel during quiescent epochs.
+// per-tenant simulated-cycle percentiles (fleet/tenant_fleet.h).
 //
 // --solo replays the same fleet one session at a time through the
 // single-session sim::run_trace path and cross-checks bit-identical results
@@ -52,8 +48,7 @@ int usage() {
                "                   [--acs LO..HI] [--arrival all|uniform:<per_min>]\n"
                "                   [--block N] [--seed N] [--stats] [--solo]\n"
                "                   [--tenants N] [--acs-per-tenant N] [--floor N]\n"
-               "                   [--partition static|weighted]\n"
-               "                   [--cosim fast|reference] [--parallel-tenants]\n");
+               "                   [--partition static|weighted]\n");
   return 2;
 }
 
@@ -107,8 +102,6 @@ int main(int argc, char** argv) {
   fleet::apply_fleet_env(spec);
   fleet::FleetOptions options;
   bool solo_check = false;
-  CosimMode cosim_mode = CosimMode::kFastForward;
-  bool parallel_tenants = false;
 
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -118,8 +111,6 @@ int main(int argc, char** argv) {
       options.collect_stats = true;
     } else if (arg == "--solo") {
       solo_check = true;
-    } else if (arg == "--parallel-tenants") {
-      parallel_tenants = true;
     } else if (value == nullptr) {
       return usage();
     } else if (arg == "--sessions") {
@@ -163,18 +154,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--partition") {
       spec.partition = fleet::parse_partition_or_die("--partition", value);
       ++i;
-    } else if (arg == "--cosim") {
-      const std::string mode = value;
-      if (mode == "fast") {
-        cosim_mode = CosimMode::kFastForward;
-      } else if (mode == "reference") {
-        cosim_mode = CosimMode::kReference;
-      } else {
-        std::fprintf(stderr,
-                     "--cosim must be 'fast' or 'reference', got '%s'\n", value);
-        return 2;
-      }
-      ++i;
     } else {
       return usage();
     }
@@ -190,8 +169,6 @@ int main(int argc, char** argv) {
     contended.acs_per_tenant = spec.acs_per_tenant;
     contended.floor = spec.tenant_floor;
     contended.partition = spec.partition;
-    contended.cosim = cosim_mode;
-    contended.parallel_tenants = parallel_tenants;
     std::printf("contended fleet: %zu sessions, %d tenants/device, %d ACs/tenant\n",
                 sessions.size(), spec.tenants, spec.acs_per_tenant);
     fleet::ContendedReport report;
