@@ -82,8 +82,9 @@ SessionBatch::SessionBatch(std::vector<SessionSpec> specs, const FleetOptions& o
       built.push_back(std::make_unique<Block>());
       open[cohort] = built.back().get();
       open[cohort]->cohort = cohort;
-      open[cohort]->arrival_ms = specs_[s].arrival_ms;
     }
+    // Members come in arrival order, so the last one sets the block's start.
+    open[cohort]->arrival_ms = specs_[s].arrival_ms;
     open[cohort]->sessions.push_back(s);
   }
   blocks_.reserve(built.size());
@@ -99,9 +100,10 @@ SessionBatch::SessionBatch(std::vector<SessionSpec> specs, const FleetOptions& o
 }
 
 void SessionBatch::run_block(const Block& block) {
-  // Honor the arrival schedule: a block never starts before its earliest
-  // member arrives (blocks are dealt in arrival order, so a sleeping worker
-  // models the arrival process, not a scheduling artifact).
+  // Honor the arrival schedule: a block starts once its last member has
+  // arrived, so no member completes before it arrives (blocks are dealt in
+  // start order, so a sleeping worker models the arrival process, not a
+  // scheduling artifact).
   const auto arrival_point =
       start_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                    std::chrono::duration<double, std::milli>(block.arrival_ms));

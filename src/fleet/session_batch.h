@@ -92,7 +92,7 @@ class SessionBatch {
   struct Block {
     std::uint32_t cohort = 0;
     std::vector<std::uint32_t> sessions;  // batch session ids, arrival order
-    double arrival_ms = 0.0;              // earliest member arrival
+    double arrival_ms = 0.0;              // latest member arrival: the start
     const char* trace_name = nullptr;     // interned label, null untraced
   };
 

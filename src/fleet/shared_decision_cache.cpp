@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/check.h"
 #include "base/metrics.h"
 
 namespace rispp::fleet {
@@ -33,12 +34,78 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
+Molecule decision_need(const SpecialInstructionSet& set, std::span<const SiId> sis) {
+  Molecule need(set.atom_type_count());
+  for (const SiId si : sis)
+    for (const MoleculeImpl& m : set.si(si).molecules) join_into(need, m.atoms);
+  return need;
+}
+
+void make_decision_key(std::uint32_t domain, std::span<const SiId> sis,
+                       std::span<const std::uint64_t> forecast, const Molecule& ready,
+                       const Molecule& need, unsigned budget, DecisionKey& key) {
+  RISPP_CHECK(ready.dimension() == need.dimension());
+  // Layout: [domain | budget] [SI count | atom dimension], the SI ids four
+  // to a word, one forecast word per listed SI, the capped ready counts four
+  // to a word. The two counts make the layout unambiguous.
+  std::vector<std::uint64_t>& words = key.words;
+  words.clear();
+  words.reserve(2 + (sis.size() + 3) / 4 + sis.size() + (ready.dimension() + 3) / 4);
+  words.push_back(std::uint64_t{domain} << 32 | budget);
+  words.push_back(std::uint64_t{sis.size()} << 32 | ready.dimension());
+  const auto pack16 = [&](std::size_t count, auto value_at) {
+    for (std::size_t i = 0; i < count; i += 4) {
+      std::uint64_t word = 0;
+      for (std::size_t j = i; j < std::min(count, i + 4); ++j)
+        word |= std::uint64_t{value_at(j)} << (16 * (j - i));
+      words.push_back(word);
+    }
+  };
+  pack16(sis.size(), [&](std::size_t j) { return sis[j]; });
+  for (const SiId si : sis) words.push_back(forecast[si]);
+  pack16(ready.dimension(), [&](std::size_t t) { return std::min(ready[t], need[t]); });
+  std::uint64_t hash = 0;
+  for (const std::uint64_t w : words) hash = fingerprint_mix(hash, w);
+  key.hash = hash;
+}
+
+DecisionMemo::DecisionMemo(std::size_t capacity) : capacity_(std::max<std::size_t>(1, capacity)) {}
+
+DecisionMemo::Entry* DecisionMemo::find(const DecisionKey& key) {
+  const auto [first, last] = index_.equal_range(key.hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second->key.words != key.words) continue;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return &*it->second;
+  }
+  return nullptr;
+}
+
+DecisionMemo::Entry& DecisionMemo::insert(const DecisionKey& key, std::uint64_t session) {
+  if (lru_.size() >= capacity_) {
+    // A future miss on the evicted key simply recomputes, so any capacity
+    // stays bit-exact.
+    const auto victim = std::prev(lru_.end());
+    auto it = index_.equal_range(victim->key.hash).first;
+    while (it->second != victim) ++it;
+    index_.erase(it);
+    lru_.erase(victim);
+    ++evictions_;
+  }
+  lru_.emplace_front();
+  Entry& entry = lru_.front();
+  entry.key = key;
+  entry.session = session;
+  index_.emplace(key.hash, lru_.begin());
+  return entry;
+}
+
 SharedDecisionCache::SharedDecisionCache(std::size_t capacity, unsigned shards)
     : capacity_(std::max<std::size_t>(1, capacity)) {
   const std::size_t count = round_up_pow2(std::max(1u, shards));
   shard_mask_ = count - 1;
-  shard_capacity_ = std::max<std::size_t>(1, capacity_ / count);
   shards_ = std::vector<Shard>(count);
+  for (Shard& shard : shards_) shard.memo = DecisionMemo(capacity_ / count);
 }
 
 SharedDecisionCache::DomainId SharedDecisionCache::register_domain(
@@ -56,85 +123,35 @@ SharedDecisionCache::DomainId SharedDecisionCache::register_domain(
   return static_cast<DomainId>(domains_.size() - 1);
 }
 
-std::uint64_t SharedDecisionCache::key_hash(DomainId domain, const std::vector<SiId>& sis,
-                                            const std::vector<std::uint64_t>& forecast,
-                                            const Molecule& ready, unsigned budget) {
-  std::uint64_t hash = fingerprint_mix(fingerprint_mix(0, domain), sis.size());
-  for (SiId si : sis) hash = fingerprint_mix(hash, si);
-  for (std::uint64_t f : forecast) hash = fingerprint_mix(hash, f);
-  for (std::size_t t = 0; t < ready.dimension(); ++t) hash = fingerprint_mix(hash, ready[t]);
-  return fingerprint_mix(hash, budget);
-}
-
-bool SharedDecisionCache::lookup(DomainId domain, std::uint64_t session,
-                                 const std::vector<SiId>& sis,
-                                 const std::vector<std::uint64_t>& forecast,
-                                 const Molecule& ready, unsigned budget,
+bool SharedDecisionCache::lookup(std::uint64_t session, const DecisionKey& key,
                                  SharedDecision& out) {
-  const std::uint64_t hash = key_hash(domain, sis, forecast, ready, budget);
-  Shard& shard = shard_for(hash);
+  Shard& shard = shard_for(key.hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto bucket_it = shard.buckets.find(hash);
-  if (bucket_it != shard.buckets.end()) {
-    for (const auto entry_it : bucket_it->second) {
-      if (entry_it->domain == domain && entry_it->budget == budget &&
-          entry_it->sis == sis && entry_it->forecast == forecast &&
-          entry_it->ready == ready) {
-        ++shard.hits;
-        hit_metric().add();
-        if (entry_it->session != session) {
-          ++shard.cross_session_hits;
-          cross_metric().add();
-        }
-        shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
-        out = entry_it->decision;  // copy out: the entry may be evicted next
-        return true;
-      }
+  if (const DecisionMemo::Entry* entry = shard.memo.find(key)) {
+    ++shard.hits;
+    hit_metric().add();
+    if (entry->session != session) {
+      ++shard.cross_session_hits;
+      cross_metric().add();
     }
+    out = entry->decision;  // copy out: the entry may be evicted next
+    return true;
   }
   ++shard.misses;
   miss_metric().add();
   return false;
 }
 
-void SharedDecisionCache::insert(DomainId domain, std::uint64_t session,
-                                 const std::vector<SiId>& sis,
-                                 const std::vector<std::uint64_t>& forecast,
-                                 const Molecule& ready, unsigned budget,
+void SharedDecisionCache::insert(std::uint64_t session, const DecisionKey& key,
                                  const SharedDecision& decision) {
-  const std::uint64_t hash = key_hash(domain, sis, forecast, ready, budget);
-  Shard& shard = shard_for(hash);
+  Shard& shard = shard_for(key.hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   // A racing session may have inserted the same key since our miss; keeping
-  // the first copy preserves its LRU position and session tag.
-  const auto bucket_it = shard.buckets.find(hash);
-  if (bucket_it != shard.buckets.end()) {
-    for (const auto entry_it : bucket_it->second)
-      if (entry_it->domain == domain && entry_it->budget == budget &&
-          entry_it->sis == sis && entry_it->forecast == forecast &&
-          entry_it->ready == ready)
-        return;
-  }
-  if (shard.lru.size() >= shard_capacity_) {
-    const auto victim = std::prev(shard.lru.end());
-    auto& victim_bucket = shard.buckets[victim->hash];
-    victim_bucket.erase(std::find(victim_bucket.begin(), victim_bucket.end(), victim));
-    if (victim_bucket.empty()) shard.buckets.erase(victim->hash);
-    shard.lru.erase(victim);
-    ++shard.evictions;
-    eviction_metric().add();
-  }
-  shard.lru.emplace_front();
-  Entry& entry = shard.lru.front();
-  entry.domain = domain;
-  entry.session = session;
-  entry.sis = sis;
-  entry.forecast = forecast;
-  entry.ready = ready;
-  entry.budget = budget;
-  entry.hash = hash;
-  entry.decision = decision;
-  shard.buckets[hash].push_back(shard.lru.begin());
+  // the first copy keeps its session tag.
+  if (shard.memo.find(key) != nullptr) return;
+  const std::uint64_t evictions = shard.memo.evictions();
+  shard.memo.insert(key, session).decision = decision;
+  if (shard.memo.evictions() != evictions) eviction_metric().add();
 }
 
 std::uint64_t SharedDecisionCache::hits() const {
@@ -159,7 +176,7 @@ std::uint64_t SharedDecisionCache::evictions() const {
   std::uint64_t total = 0;
   for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mutex);
-    total += s.evictions;
+    total += s.memo.evictions();
   }
   return total;
 }
@@ -177,7 +194,7 @@ std::size_t SharedDecisionCache::size() const {
   std::size_t total = 0;
   for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mutex);
-    total += s.lru.size();
+    total += s.memo.size();
   }
   return total;
 }

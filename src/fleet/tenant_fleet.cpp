@@ -16,6 +16,15 @@
 
 namespace rispp::fleet {
 
+namespace {
+
+// Entries of the decision memo the devices of one run_contended_fleet call
+// share. Sized against peak RSS (DESIGN §6.2): each entry costs a few
+// hundred bytes, and past this size the extra hits buy little.
+constexpr std::size_t kContendedMemoCapacity = 4096;
+
+}  // namespace
+
 ContendedReport run_contended_fleet(const std::vector<SessionSpec>& specs,
                                     const ContendedOptions& options,
                                     std::vector<SimResult>* results) {
@@ -55,6 +64,10 @@ ContendedReport run_contended_fleet(const std::vector<SessionSpec>& specs,
   std::vector<std::uint64_t> device_evictions(devices, 0);
   std::vector<std::uint64_t> device_port_wait(devices, 0);
 
+  // Tenants on every device meet the same decision keys (same contents,
+  // schedulers and budgets), so they memoize through one bounded cache.
+  SharedDecisionCache memo(kContendedMemoCapacity);
+
   const auto t0 = std::chrono::steady_clock::now();
   pool.parallel_for(devices, [&](std::size_t d) {
     const std::size_t first = d * per_device;
@@ -83,6 +96,7 @@ ContendedReport run_contended_fleet(const std::vector<SessionSpec>& specs,
       RtmConfig config;
       config.scheduler = schedulers[i].get();
       config.forecast_mode = spec.forecast_mode;
+      config.shared_decision_cache = &memo;
       config.session_id = first + i;
       config.arbiter = &arbiter;
       config.tenant = runs[i].tenant;

@@ -5,7 +5,8 @@
 // parallelize freely. The contended fleet packs `tenants_per_device`
 // consecutive sessions onto one device whose fabric they share through a
 // FabricArbiter: each device is one serial co-simulation (run_tenants), and
-// devices fan out across the thread pool. The interesting outputs shift from
+// devices fan out across the thread pool. Every tenant of every device
+// memoizes its decisions through one bounded SharedDecisionCache per run. The interesting outputs shift from
 // wall-clock throughput to *simulated* contention: how much of the solo
 // speedup survives the shared port and the split fabric, and how long the
 // per-tenant tail gets (fig_multitenant sweeps both against tenant count and

@@ -125,9 +125,8 @@ std::optional<Cycles> FabricArbiter::try_start(TenantId t, AtomTypeId type,
   RISPP_CHECK_MSG(!ten.inflight.has_value(),
                   "tenant " << t << " already has a load in flight");
   RISPP_CHECK_MSG(!ten.retired, "tenant " << t << " already retired");
-  const Cycles duration = load_cycles(t, type);
   const bool port_free = busy_until_ <= now;
-  if (!port_free || pick_winner(t) != t) return deny(ten, now, duration);
+  if (!port_free || pick_winner(t) != t) return deny(ten, now);
   if (ten.claim) {
     ten.claim = false;
     const Cycles waited = now - ten.waiting_since;
@@ -138,6 +137,7 @@ std::optional<Cycles> FabricArbiter::try_start(TenantId t, AtomTypeId type,
   ten.denied_epochs = 0;
   ten.last_denied_epoch = ~std::uint64_t{0};
   ten.pass += ten.stride;
+  const Cycles duration = load_cycles(t, type);
   const Cycles done = now + duration;
   ten.inflight = InflightLoad{type, container, done};
   busy_until_ = done;
@@ -155,7 +155,7 @@ std::optional<Cycles> FabricArbiter::try_start(TenantId t, AtomTypeId type,
   return std::nullopt;
 }
 
-Cycles FabricArbiter::deny(Tenant& ten, Cycles now, Cycles duration) {
+Cycles FabricArbiter::deny(Tenant& ten, Cycles now) {
   // Denied: the claim stands until the queue drains or the tenant wins.
   if (!ten.claim) {
     ten.claim = true;
@@ -167,10 +167,12 @@ Cycles FabricArbiter::deny(Tenant& ten, Cycles now, Cycles duration) {
     ten.last_denied_epoch = grants_;
     ++ten.denied_epochs;
   }
-  return busy_until_ > now ? busy_until_ : now + duration;
+  // A free port went to another claimant: only that tenant's next call can
+  // change the outcome, so no retry before it is worth making.
+  return busy_until_ > now ? busy_until_ : kRetryAfterOthers;
 }
 
-std::optional<Cycles> FabricArbiter::precheck(TenantId t, AtomTypeId type, Cycles now) {
+std::optional<Cycles> FabricArbiter::precheck(TenantId t, Cycles now) {
   Tenant& ten = tenant(t);
   RISPP_CHECK_MSG(ten.file.has_value(), "tenant " << t << " not bound");
   RISPP_CHECK_MSG(!ten.inflight.has_value(),
@@ -178,7 +180,7 @@ std::optional<Cycles> FabricArbiter::precheck(TenantId t, AtomTypeId type, Cycle
   RISPP_CHECK_MSG(!ten.retired, "tenant " << t << " already retired");
   const bool port_free = busy_until_ <= now;
   if (port_free && pick_winner(t) == t) return std::nullopt;
-  return deny(ten, now, load_cycles(t, type));
+  return deny(ten, now);
 }
 
 FabricArbiter::InflightLoad FabricArbiter::retire(TenantId t, Cycles now) {
@@ -313,6 +315,11 @@ unsigned FabricArbiter::quota(TenantId t) const {
 }
 
 unsigned FabricArbiter::floor(TenantId t) const { return tenant(t).config.floor; }
+
+FabricArbiter::ClaimState FabricArbiter::claim_state(TenantId t) const {
+  const Tenant& ten = tenant(t);
+  return ClaimState{ten.claim, ten.waiting_since, ten.denied_epochs};
+}
 
 std::uint64_t FabricArbiter::completed_loads(TenantId t) const {
   return tenant(t).completed_loads;

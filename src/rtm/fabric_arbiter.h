@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -104,21 +105,30 @@ class FabricArbiter {
   /// *now* — a finished load stays visible until its owner retires it).
   const std::optional<InflightLoad>& inflight(TenantId t) const;
 
+  /// The retry hint of a denial that only another tenant can lift: the port
+  /// is free but round-robin picked a standing claimant. Until some other
+  /// tenant calls into the arbiter, every re-ask is denied again and changes
+  /// nothing (the claim is set and this grant epoch's denial is counted), so
+  /// no retry before then can succeed.
+  static constexpr Cycles kRetryAfterOthers = std::numeric_limits<Cycles>::max();
+
   /// Asks for the port at `now` to load `type` into the tenant's container
   /// `container`. Returns nullopt on a grant (the load is in flight);
-  /// otherwise the denial registers a claim and returns a retry hint
-  /// strictly after `now` (the tenant re-asks at its next reconfiguration
-  /// event, bounded by the hint on the fast-forward paths).
+  /// otherwise the denial registers a claim and returns a retry hint: the
+  /// cycle the busy port frees up (after `now`), or kRetryAfterOthers when
+  /// the port is free but another claimant wins it.
   std::optional<Cycles> try_start(TenantId t, AtomTypeId type, ContainerId container,
                                   Cycles now);
 
-  /// Denial-only fast path: would try_start(t, type, *, now) be denied? On a
+  /// Denial-only fast path: would try_start(t, *, *, now) be denied? On a
   /// denial this performs exactly try_start's denial bookkeeping (claim,
   /// starvation accounting) and returns the same retry hint; on nullopt the
   /// arbiter state is untouched and an immediate try_start at the same `now`
   /// is guaranteed to grant. Lets the RTM skip victim selection (an
-  /// O(containers) scan) on the contended retry path.
-  std::optional<Cycles> precheck(TenantId t, AtomTypeId type, Cycles now);
+  /// O(containers) scan) on the contended retry path. Repeating a denied
+  /// precheck at a later `now` in the same grant epoch is a fixed point: the
+  /// tenant's claim, waiting_since and denied-epoch count stay as they are.
+  std::optional<Cycles> precheck(TenantId t, Cycles now);
 
   /// Retires the tenant's finished load (finishes_at <= now).
   InflightLoad retire(TenantId t, Cycles now);
@@ -152,6 +162,15 @@ class FabricArbiter {
   std::uint64_t grants() const { return grants_; }
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t port_wait_cycles() const { return port_wait_cycles_; }
+  /// The tenant's standing port claim: whether it holds one, since when it
+  /// has waited, and how many consecutive grant epochs it has lost.
+  struct ClaimState {
+    bool claim = false;
+    Cycles waiting_since = 0;
+    unsigned denied_epochs = 0;
+    bool operator==(const ClaimState&) const = default;
+  };
+  ClaimState claim_state(TenantId t) const;
 
   /// Hard checks: every bound tenant's quota within [floor, total] and all
   /// quotas summing to total_containers (once every tenant is bound).
@@ -194,7 +213,7 @@ class FabricArbiter {
   TenantId pick_winner(TenantId asker) const;
   /// try_start's denial bookkeeping (claim registration + per-grant-epoch
   /// starvation accounting); returns the retry hint.
-  Cycles deny(Tenant& ten, Cycles now, Cycles duration);
+  Cycles deny(Tenant& ten, Cycles now);
   /// Re-apportions quotas to the benefit-weighted entitlements.
   void rebalance(Cycles now);
   /// Disables up to `count` of the tenant's least-valuable enabled

@@ -44,10 +44,13 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
       si_atom_types_(set->si_count()),
       upgrade_lane_(trace_new_lane()) {
   RISPP_CHECK(config_.scheduler != nullptr);
+  if (config_.shared_decision_cache == nullptr && config_.enable_decision_cache)
+    decision_memo_ = fleet::DecisionMemo(config_.decision_cache_capacity);
+  si_need_.reserve(set_->si_count());
   for (SiId si = 0; si < set_->si_count(); ++si) {
     cached_latency_[si] = set_->si(si).latency(kSoftwareMolecule);
-    Molecule used(set_->atom_type_count());
-    for (const MoleculeImpl& m : set_->si(si).molecules) join_into(used, m.atoms);
+    si_need_.push_back(fleet::decision_need(*set_, std::span<const SiId>(&si, 1)));
+    const Molecule& used = si_need_.back();
     for (AtomTypeId t = 0; t < used.dimension(); ++t)
       if (used[t] != 0) si_atom_types_[si].push_back(t);
   }
@@ -122,7 +125,7 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
   // III) determine re-loading decisions: selection, then scheduling (memoized
   // — monitored forecasts converge after warm-up, so the steady state of a
   // long replay is pure cache hits).
-  const DecisionEntry& decision = decide(info.sis, *forecast, cf_->active());
+  const fleet::SharedDecision& decision = decide(info.sis, *forecast, cf_->active());
   selection_ = decision.selection;
 
   // Mispredict → reconfig churn (ROADMAP traffic-robustness metric): the
@@ -176,10 +179,13 @@ std::optional<Cycles> RunTimeManager::fabric_try_start(AtomTypeId type, Containe
 
 std::optional<Cycles> RunTimeManager::fabric_stall_bound(Cycles now) const {
   if (fabric_loading()) return fabric_finishes_at();
-  // After advance_reconfig a standing denial's hint is strictly in the
-  // future (the arbiter hints at least one load duration ahead), so the
-  // fast-forward windows always make progress.
-  if (config_.arbiter != nullptr && denied_until_ > now) return denied_until_;
+  // A busy-port denial ends the window when the port frees up, which after
+  // advance_reconfig is after `now`. A denial only another tenant can lift
+  // ends none: no other tenant acts while this one replays an instance, so
+  // every retry before the next hot-spot entry would be denied unchanged.
+  if (config_.arbiter != nullptr && denied_until_ > now &&
+      denied_until_ != FabricArbiter::kRetryAfterOthers)
+    return denied_until_;
   return std::nullopt;
 }
 
@@ -214,7 +220,7 @@ void RunTimeManager::start_pending_loads(Cycles now) {
     // denial bookkeeping without the O(containers) victim scan. On nullopt
     // an immediate try_start at the same `now` is guaranteed to grant.
     if (config_.arbiter != nullptr) {
-      if (const auto hint = config_.arbiter->precheck(config_.tenant, type, now)) {
+      if (const auto hint = config_.arbiter->precheck(config_.tenant, now)) {
         denied_until_ = *hint;
         return;
       }
@@ -251,7 +257,7 @@ void RunTimeManager::start_pending_loads(Cycles now) {
       while (!fabric_loading() && !prefetch_loads_.empty()) {
         const AtomTypeId type = prefetch_loads_.front();
         if (config_.arbiter != nullptr) {
-          if (const auto hint = config_.arbiter->precheck(config_.tenant, type, now)) {
+          if (const auto hint = config_.arbiter->precheck(config_.tenant, now)) {
             denied_until_ = *hint;
             return;
           }
@@ -324,7 +330,7 @@ void RunTimeManager::compute_prefetch() {
   for (SiId si = 0; si < set_->si_count(); ++si)
     if ((*forecast)[si] > 0) prefetch_sis_.push_back(si);
   if (prefetch_sis_.empty()) return;
-  const DecisionEntry& decision = decide(prefetch_sis_, *forecast, budget);
+  const fleet::SharedDecision& decision = decide(prefetch_sis_, *forecast, budget);
   if (decision.selection.empty()) return;
 
   prefetch_demand_.assign_zero(set_->atom_type_count());
@@ -334,89 +340,46 @@ void RunTimeManager::compute_prefetch() {
   RISPP_DEBUG("prefetching " << prefetch_loads_.size() << " atoms for hot spot " << next);
 }
 
-const RunTimeManager::DecisionEntry& RunTimeManager::decide(
-    const std::vector<SiId>& sis, const std::vector<std::uint64_t>& forecast,
-    unsigned budget) {
+const fleet::SharedDecision& RunTimeManager::decide(const std::vector<SiId>& sis,
+                                                    const std::vector<std::uint64_t>& forecast,
+                                                    unsigned budget) {
   const Molecule& ready = cf_->ready_atoms();
   static MetricCounter& hit_metric = metric_counter("rtm.decision_cache.hits");
   static MetricCounter& miss_metric = metric_counter("rtm.decision_cache.misses");
   static MetricCounter& eviction_metric = metric_counter("rtm.decision_cache.evictions");
-
-  if (config_.shared_decision_cache != nullptr) {
-    // Fleet mode: memoize through the process-wide cache so identical
-    // decisions computed by other sessions replay here. The hit copies into
-    // shared_scratch_ under the shard lock (the cache entry may be evicted
-    // concurrently); the per-RTM counters keep counting so introspection and
-    // fig8-style analysis work unchanged.
-    fleet::SharedDecisionCache& cache = *config_.shared_decision_cache;
-    if (cache.lookup(shared_domain_, config_.session_id, sis, forecast, ready, budget,
-                     shared_scratch_)) {
-      ++decision_cache_hits_;
-      hit_metric.add();
-      uncached_decision_.selection = std::move(shared_scratch_.selection);
-      uncached_decision_.loads = std::move(shared_scratch_.loads);
-      return uncached_decision_;
-    }
-    ++decision_cache_misses_;
-    miss_metric.add();
-    trace_begin_now(TraceTrack::kRtm, "decide");
-    compute_decision(sis, forecast, budget, ready, uncached_decision_);
-    trace_end_now(TraceTrack::kRtm, "decide");
-    shared_scratch_.selection = uncached_decision_.selection;
-    shared_scratch_.loads = uncached_decision_.loads;
-    cache.insert(shared_domain_, config_.session_id, sis, forecast, ready, budget,
-                 shared_scratch_);
-    return uncached_decision_;
+  fleet::SharedDecisionCache* const shared = config_.shared_decision_cache;
+  if (shared != nullptr || config_.enable_decision_cache) {
+    // The need of `sis` from the per-SI needs: a few joins, not one per
+    // molecule.
+    need_.assign_zero(set_->atom_type_count());
+    for (const SiId si : sis) join_into(need_, si_need_[si]);
+    fleet::make_decision_key(shared_domain_, sis, forecast, ready, need_, budget, decision_key_);
   }
 
-  DecisionEntry* out = nullptr;
-  if (config_.enable_decision_cache) {
-    // FNV-1a digest of the full key; the bucket scan below compares the key
-    // exactly, so the hash only routes, it never decides.
-    std::uint64_t hash = fingerprint_mix(0, sis.size());
-    for (SiId si : sis) hash = fingerprint_mix(hash, si);
-    for (std::uint64_t f : forecast) hash = fingerprint_mix(hash, f);
-    for (std::size_t t = 0; t < ready.dimension(); ++t) hash = fingerprint_mix(hash, ready[t]);
-    hash = fingerprint_mix(hash, budget);
-
-    const auto bucket_it = decision_cache_.find(hash);
-    if (bucket_it != decision_cache_.end()) {
-      for (const auto entry_it : bucket_it->second) {
-        if (entry_it->budget == budget && entry_it->sis == sis &&
-            entry_it->forecast == forecast && entry_it->ready == ready) {
-          ++decision_cache_hits_;
-          hit_metric.add();
-          if (trace_enabled())
-            trace_counter_now(TraceTrack::kRtm, "decision cache hits",
-                              static_cast<double>(decision_cache_hits_));
-          decision_lru_.splice(decision_lru_.begin(), decision_lru_, entry_it);
-          return *entry_it;
-        }
-      }
+  fleet::SharedDecision* out = &decision_scratch_;
+  if (shared != nullptr) {
+    // Memoize through the shared cache so identical decisions computed by
+    // other sessions replay here. The hit copies into the scratch slot under
+    // the shard lock (the cache entry may be evicted concurrently); the
+    // per-RTM counters keep counting so introspection and fig8-style
+    // analysis work unchanged.
+    if (shared->lookup(config_.session_id, decision_key_, decision_scratch_)) {
+      ++decision_cache_hits_;
+      hit_metric.add();
+      return decision_scratch_;
     }
-
-    // Miss past capacity: evict the least-recently-used decision (a future
-    // miss on that key simply recomputes, so eviction is bit-exact).
-    const std::size_t capacity = std::max<std::size_t>(1, config_.decision_cache_capacity);
-    if (decision_lru_.size() >= capacity) {
-      const auto victim = std::prev(decision_lru_.end());
-      auto& victim_bucket = decision_cache_[victim->hash];
-      victim_bucket.erase(std::find(victim_bucket.begin(), victim_bucket.end(), victim));
-      if (victim_bucket.empty()) decision_cache_.erase(victim->hash);
-      decision_lru_.erase(victim);
-      ++decision_cache_evictions_;
-      eviction_metric.add();
+  } else if (config_.enable_decision_cache) {
+    if (fleet::DecisionMemo::Entry* entry = decision_memo_.find(decision_key_)) {
+      ++decision_cache_hits_;
+      hit_metric.add();
+      if (trace_enabled())
+        trace_counter_now(TraceTrack::kRtm, "decision cache hits",
+                          static_cast<double>(decision_cache_hits_));
+      return entry->decision;
     }
-    decision_lru_.emplace_front();
-    decision_cache_[hash].push_back(decision_lru_.begin());
-    out = &decision_lru_.front();
-    out->hash = hash;
-    out->sis = sis;
-    out->forecast = forecast;
-    out->ready = ready;
-    out->budget = budget;
-  } else {
-    out = &uncached_decision_;
+    const std::uint64_t evictions = decision_memo_.evictions();
+    out = &decision_memo_.insert(decision_key_, config_.session_id).decision;
+    if (decision_memo_.evictions() != evictions) eviction_metric.add();
   }
   ++decision_cache_misses_;
   miss_metric.add();
@@ -426,7 +389,9 @@ const RunTimeManager::DecisionEntry& RunTimeManager::decide(
   trace_begin_now(TraceTrack::kRtm, "decide");
   compute_decision(sis, forecast, budget, ready, *out);
   trace_end_now(TraceTrack::kRtm, "decide");
-  if (trace_enabled())
+  if (shared != nullptr)
+    shared->insert(config_.session_id, decision_key_, *out);
+  else if (trace_enabled())
     trace_counter_now(TraceTrack::kRtm, "decision cache misses",
                       static_cast<double>(decision_cache_misses_));
   return *out;
@@ -435,7 +400,7 @@ const RunTimeManager::DecisionEntry& RunTimeManager::decide(
 void RunTimeManager::compute_decision(const std::vector<SiId>& sis,
                                       const std::vector<std::uint64_t>& forecast,
                                       unsigned budget, const Molecule& ready,
-                                      DecisionEntry& out) {
+                                      fleet::SharedDecision& out) {
   // Wall-clock cost of the uncached selection→schedule pipeline; cache hits
   // never get here, so this is the tail the memo layers are hiding.
   const auto started = std::chrono::steady_clock::now();

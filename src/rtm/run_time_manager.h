@@ -16,9 +16,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/trace_event.h"
@@ -61,17 +59,19 @@ struct RtmConfig {
   /// demands.
   bool enable_prefetch = false;
   /// Memoize the selection→schedule decision (DESIGN §6.2). The decision is
-  /// a pure function of (hot-spot SI list, forecast vector, ready atoms,
-  /// container budget) once the SI set, the scheduler strategy, and the
-  /// payback constant are fixed — and those are per-RTM-instance constants —
-  /// so replaying a cached decision is bit-exact by construction. Off is
-  /// only useful for A/B tests and the cache's own equivalence tests.
+  /// a pure function of (hot-spot SI list, its forecast, ready atoms capped
+  /// at what the list can use, container budget) once the SI set, the
+  /// scheduler strategy, and the payback constant are fixed — and those are
+  /// per-RTM-instance constants — so replaying a cached decision is bit-exact
+  /// by construction (fleet::make_decision_key). Off is only useful for A/B
+  /// tests and the cache's own equivalence tests.
   bool enable_decision_cache = true;
   /// Decision-cache entry bound: past it, the least-recently-used decision
   /// is evicted (misses recompute, so any capacity stays bit-exact).
   /// Steady-state workloads sit far below the default.
   std::size_t decision_cache_capacity = 4096;
-  /// Process-wide decision cache shared across sessions (src/fleet). When
+  /// Decision cache shared across sessions (src/fleet: the fleet's
+  /// process-wide one, or one per contended-fleet run). When
   /// set it replaces the per-instance cache above: decide() registers this
   /// RTM's constants (SI-set fingerprint, scheduler name, payback) as a
   /// cache domain and memoizes through the shared cache, so identical
@@ -131,8 +131,8 @@ class RunTimeManager final : public WindowedBackend {
   /// Decision-cache effectiveness (both the entry and the prefetch path).
   std::uint64_t decision_cache_hits() const { return decision_cache_hits_; }
   std::uint64_t decision_cache_misses() const { return decision_cache_misses_; }
-  std::uint64_t decision_cache_evictions() const { return decision_cache_evictions_; }
-  std::size_t decision_cache_size() const { return decision_lru_.size(); }
+  std::uint64_t decision_cache_evictions() const { return decision_memo_.evictions(); }
+  std::size_t decision_cache_size() const { return decision_memo_.size(); }
 
  private:
   void advance_reconfig(Cycles now);
@@ -152,42 +152,33 @@ class RunTimeManager final : public WindowedBackend {
                : port_.inflight()->finishes_at;
   }
   ReconfigPort::InflightLoad fabric_retire(Cycles now);
-  /// nullopt = the load started; otherwise the arbiter's retry hint
-  /// (strictly after `now`), recorded in denied_until_ by the caller.
+  /// nullopt = the load started; otherwise the arbiter's retry hint (see
+  /// FabricArbiter::try_start), recorded in denied_until_ by the caller.
   std::optional<Cycles> fabric_try_start(AtomTypeId type, ContainerId victim, Cycles now);
   /// The next simulated time at which this tenant's SI latencies can change:
-  /// its own in-flight load's completion, or the arbiter's retry hint while
-  /// it waits for the port. nullopt = no pending fabric event (latencies are
-  /// stable until the next decision point). Ends every replay window.
+  /// its own in-flight load's completion, or the cycle a busy port frees up
+  /// while it waits. nullopt = no pending fabric event: latencies are stable
+  /// until the next decision point, which is also the case while it waits
+  /// on a free port another tenant won (FabricArbiter::kRetryAfterOthers).
+  /// Ends every replay window.
   std::optional<Cycles> fabric_stall_bound(Cycles now) const;
   PortWindow open_window(Cycles now, SiId next) override;
   /// Consumes arbiter-side mutations (quota rebalances evicting our atoms)
   /// by invalidating the latency cache when the fabric generation moved.
   void sync_fabric();
 
-  /// One memoized decision: the key (everything the selection→schedule
-  /// pipeline reads that varies at run time) and the result. Schedule::steps
-  /// are not kept — the RTM only replays the atom load sequence.
-  struct DecisionEntry {
-    std::vector<SiId> sis;
-    std::vector<std::uint64_t> forecast;
-    Molecule ready;
-    unsigned budget = 0;
-    std::vector<SiRef> selection;
-    std::vector<AtomTypeId> loads;
-    std::uint64_t hash = 0;  // key digest, kept so eviction finds the bucket
-  };
   /// Runs selection + scheduling for (sis, forecast, current ready atoms,
-  /// budget), or replays the memoized result verbatim on a key match. The
-  /// returned reference lives in the cache: it is invalidated by the next
-  /// decide() call, so consume it before any path that may decide again.
-  const DecisionEntry& decide(const std::vector<SiId>& sis,
-                              const std::vector<std::uint64_t>& forecast,
-                              unsigned budget);
+  /// budget), or replays the memoized result verbatim on a key match
+  /// (fleet::make_decision_key). The returned reference lives in the memo or
+  /// a scratch slot: it is invalidated by the next decide() call, so consume
+  /// it before any path that may decide again.
+  const fleet::SharedDecision& decide(const std::vector<SiId>& sis,
+                                      const std::vector<std::uint64_t>& forecast,
+                                      unsigned budget);
   /// The uncached selection→schedule pipeline behind decide().
   void compute_decision(const std::vector<SiId>& sis,
                         const std::vector<std::uint64_t>& forecast, unsigned budget,
-                        const Molecule& ready, DecisionEntry& out);
+                        const Molecule& ready, fleet::SharedDecision& out);
 
   const SpecialInstructionSet* set_;
   RtmConfig config_;
@@ -219,21 +210,16 @@ class RunTimeManager final : public WindowedBackend {
   Molecule prefetch_demand_;                    // sup of the prefetch selection
   std::vector<Cycles> type_last_used_;   // LRU stamps per atom type
 
-  // Decision cache (see decide()). Entries live on an LRU list (front =
-  // most recent; hits splice to the front, a miss past capacity evicts the
-  // back). Buckets map the key digest to list iterators holding full keys:
-  // a hash collision degrades to a linear compare, never to a wrong
-  // decision. std::list iterators survive splicing, so bucket entries stay
-  // valid across recency updates.
-  std::list<DecisionEntry> decision_lru_;
-  std::unordered_map<std::uint64_t, std::vector<std::list<DecisionEntry>::iterator>>
-      decision_cache_;
+  // Decision memo (see decide()): this RTM's own, unless a shared cache is
+  // configured.
+  fleet::DecisionMemo decision_memo_;
   std::uint64_t decision_cache_hits_ = 0;
   std::uint64_t decision_cache_misses_ = 0;
-  std::uint64_t decision_cache_evictions_ = 0;
-  DecisionEntry uncached_decision_;      // result slot (cache off / shared cache)
+  fleet::DecisionKey decision_key_;             // per-decide scratch
+  fleet::SharedDecision decision_scratch_;      // result slot (no own memo)
   fleet::SharedDecisionCache::DomainId shared_domain_ = 0;
-  fleet::SharedDecision shared_scratch_;        // shared-cache copy-in/out slot
+  std::vector<Molecule> si_need_;               // per SiId: join of its molecules
+  Molecule need_;                               // per-decide scratch: the key's cap
   std::vector<std::uint64_t> oracle_forecast_;  // per-entry scratch (kOracle)
   std::vector<SiId> prefetch_sis_;              // per-entry scratch (prefetch)
 

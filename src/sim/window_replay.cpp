@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 
+#include "base/metrics.h"
+
 namespace rispp {
 
 WindowedBackend::WindowedBackend(std::size_t si_count, ExecutionMonitor& monitor,
@@ -11,6 +13,11 @@ WindowedBackend::WindowedBackend(std::size_t si_count, ExecutionMonitor& monitor
       type_last_used_(type_last_used),
       window_count_(si_count, 0),
       window_last_(si_count, 0) {}
+
+WindowedBackend::~WindowedBackend() {
+  static MetricCounter& windows_metric = metric_counter("sim.replay.windows");
+  windows_metric.add(windows_);
+}
 
 void WindowedBackend::bind_instance(const HotSpotInstance& instance, const HotSpotInfo& info) {
   bound_runs_ = instance.runs.data();
@@ -70,6 +77,7 @@ Cycles WindowedBackend::replay(std::span<const SiRun> runs, std::uint64_t first_
   std::uint64_t left = first_count;  // executions of runs[i] not yet replayed
   while (i < runs.size()) {
     const PortWindow window = open_window(now, runs[i].si);
+    ++windows_;
     const bool bounded = window.end.has_value();
     const Cycles end = window.end.value_or(0);
     std::uint32_t closing = 0;  // slots a block must not contain to be skipped

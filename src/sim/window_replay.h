@@ -55,6 +55,10 @@ class WindowedBackend : public ExecutionBackend {
   // The core keeps references into the derived backend: no copies.
   WindowedBackend(const WindowedBackend&) = delete;
   WindowedBackend& operator=(const WindowedBackend&) = delete;
+  /// Publishes the windows this backend opened to sim.replay.windows: one
+  /// shared-counter add per backend, so fleets replaying on many threads do
+  /// not contend on it once per instance.
+  ~WindowedBackend() override;
 
   Cycles si_execution_run_latency(SiId si, std::uint64_t count, Cycles now,
                                   Cycles per_execution_overhead,
@@ -95,6 +99,7 @@ class WindowedBackend : public ExecutionBackend {
   std::vector<std::uint64_t> window_count_;
   std::vector<Cycles> window_last_;
   std::vector<SiId> window_touched_;
+  std::uint64_t windows_ = 0;  // windows opened, published on destruction
   // The instance seen at the last hot-spot entry.
   const SiRun* bound_runs_ = nullptr;
   std::size_t bound_run_count_ = 0;

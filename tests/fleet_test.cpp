@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,6 +154,27 @@ TEST(Fleet, FleetMatchesSoloRunsWithoutSharedCache) {
   check_fleet_against_solo(7, 2, 2, false, true);
 }
 
+TEST(Fleet, OpenLoopSessionsNeverCompleteBeforeTheyArrive) {
+  // Sessions arrive 0.25 ms apart and blocks hold eight: a block starts
+  // once its last member has arrived, so every member's completion latency,
+  // measured from its own arrival, is positive.
+  TraceRepository repo;
+  ThreadPool pool(2);
+  FleetOptions options;
+  options.traces = &repo;
+  options.pool = &pool;
+  options.block_size = 8;
+  std::vector<SessionSpec> specs;
+  for (int s = 0; s < 32; ++s) {
+    SessionSpec spec = small_session(Content::kJpeg, 1, "HEF", 6);
+    spec.arrival_ms = 0.25 * s;
+    specs.push_back(spec);
+  }
+  SessionBatch batch(specs, options);
+  batch.run();
+  for (std::size_t s = 0; s < specs.size(); ++s) EXPECT_GT(batch.latency_ms(s), 0.0) << s;
+}
+
 TEST(Fleet, SharedCacheCountsCrossSessionHits) {
   // Two identical sessions: the second replays the first's decisions, and
   // every one of those hits is a cross-session hit.
@@ -202,17 +225,24 @@ TEST(Fleet, SharedCacheEvictsAtCapacity) {
   SharedDecisionCache cache(/*capacity=*/8, /*shards=*/1);
   const auto domain = cache.register_domain(1, "HEF", 100, 0);
   Molecule ready;
+  std::vector<std::uint64_t> forecast(64);
+  std::iota(forecast.begin(), forecast.end(), 0);
+  const auto key = [&](std::uint64_t i) {
+    const SiId si = static_cast<SiId>(i);
+    DecisionKey k;
+    make_decision_key(domain, std::span<const SiId>(&si, 1), forecast, ready, ready, 10, k);
+    return k;
+  };
   SharedDecision decision;
   decision.loads = {1, 2};
-  for (std::uint64_t i = 0; i < 64; ++i)
-    cache.insert(domain, /*session=*/0, {static_cast<SiId>(i)}, {i}, ready, 10, decision);
+  for (std::uint64_t i = 0; i < 64; ++i) cache.insert(/*session=*/0, key(i), decision);
   EXPECT_LE(cache.size(), 8u);
   EXPECT_GT(cache.evictions(), 0u);
   // Freshest key still resident, oldest evicted.
   SharedDecision out;
-  EXPECT_TRUE(cache.lookup(domain, 1, {static_cast<SiId>(63)}, {63}, ready, 10, out));
+  EXPECT_TRUE(cache.lookup(1, key(63), out));
   EXPECT_EQ(out.loads, decision.loads);
-  EXPECT_FALSE(cache.lookup(domain, 1, {static_cast<SiId>(0)}, {0}, ready, 10, out));
+  EXPECT_FALSE(cache.lookup(1, key(0), out));
 }
 
 TEST(Fleet, SharedCacheInternsDomains) {

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "base/metrics.h"
 #include "base/parallel.h"
 #include "fleet/session.h"
 #include "fleet/tenant_fleet.h"
@@ -219,6 +221,87 @@ TEST(Multitenant, RetiredClaimantsLeaveTheRoundRobin) {
   // even though B's pass would have won.
   EXPECT_FALSE(arbiter.try_start(fx.a, 0, 1, load).has_value());
   arbiter.check_invariants();
+}
+
+TEST(Multitenant, FreePortWonByAnotherClaimantDefersTheRetryToOthers) {
+  // A takes the port; B, denied while it is busy, parks a claim and learns
+  // the cycle the port frees up. When A re-asks after its load retired, the
+  // port is free but round-robin prefers the waiting B: only B's next call
+  // can change that, so the hint names no cycle, and asking again later in
+  // the same grant epoch is a fixed point that moves no arbiter state.
+  ArbiterConfig config;
+  config.total_containers = 8;
+  TwoTenantFixture fx(/*weight_a=*/1, /*weight_b=*/1, config);
+  FabricArbiter& arbiter = fx.arbiter;
+  const Cycles load = arbiter.load_cycles(fx.a, 0);
+  ASSERT_GT(load, 1u);
+  const std::optional<Cycles> after_others = FabricArbiter::kRetryAfterOthers;
+
+  ASSERT_FALSE(arbiter.try_start(fx.a, 0, 0, 0).has_value());
+  EXPECT_EQ(arbiter.precheck(fx.b, 1), std::optional<Cycles>(load));  // busy port
+  EXPECT_EQ(arbiter.try_start(fx.b, 0, 0, 2), std::optional<Cycles>(load));
+  arbiter.retire(fx.a, load);
+
+  EXPECT_EQ(arbiter.try_start(fx.a, 0, 1, load), after_others);
+  const FabricArbiter::ClaimState a_claim = arbiter.claim_state(fx.a);
+  EXPECT_TRUE(a_claim.claim);
+  EXPECT_EQ(a_claim.waiting_since, load);
+  EXPECT_EQ(a_claim.denied_epochs, 1u);
+  const FabricArbiter::ClaimState b_claim = arbiter.claim_state(fx.b);
+  const std::uint64_t grants = arbiter.grants();
+  const std::uint64_t waited = arbiter.port_wait_cycles();
+  for (const Cycles later : {load + 1, 2 * load, 1000 * load}) {
+    EXPECT_EQ(arbiter.precheck(fx.a, later), after_others) << later;
+    EXPECT_EQ(arbiter.claim_state(fx.a), a_claim) << later;
+    EXPECT_EQ(arbiter.claim_state(fx.b), b_claim) << later;
+    EXPECT_EQ(arbiter.grants(), grants) << later;
+    EXPECT_EQ(arbiter.port_wait_cycles(), waited) << later;
+  }
+
+  // B's call lifts the denial: B wins the free port, having waited since its
+  // first denial, and A's next denial names the busy port's free cycle again.
+  const Cycles b_start = load + 5;
+  ASSERT_FALSE(arbiter.try_start(fx.b, 0, 0, b_start).has_value());
+  EXPECT_EQ(arbiter.port_wait_cycles(), waited + (b_start - 1));
+  EXPECT_EQ(arbiter.precheck(fx.a, b_start + 1), std::optional<Cycles>(b_start + load));
+  arbiter.check_invariants();
+}
+
+TEST(Multitenant, ReplayWindowsScaleWithGrantsNotInstanceLength) {
+  // A tenant waiting on a free port another claimant won keeps its replay
+  // window open to its next hot-spot entry, because nothing it asks before
+  // then can be granted. Windows therefore follow port grants and hot-spot
+  // entries, whatever the instance length: a window closed at every load
+  // duration of such a wait would make longer instances open more of them.
+  const auto windows_per_event = [](int width, int height) {
+    TraceRepository repo;
+    std::vector<SessionSpec> specs;
+    for (int s = 0; s < 8; ++s) {
+      SessionSpec spec = small_session(Content::kH264, 2, s % 2 == 0 ? "HEF" : "SJF", 6);
+      spec.width = width;
+      spec.height = height;
+      specs.push_back(spec);
+    }
+    fleet::ContendedOptions options;
+    options.tenants_per_device = 8;
+    options.acs_per_tenant = 6;
+    options.partition = PartitionMode::kBenefitWeighted;
+    options.traces = &repo;
+    ThreadPool serial(1);
+    options.pool = &serial;
+    MetricCounter& windows = metric_counter("sim.replay.windows");
+    MetricCounter& entries = metric_counter("sim.hot_spot_entries");
+    const std::uint64_t windows_before = windows.value();
+    const std::uint64_t entries_before = entries.value();
+    const fleet::ContendedReport report = fleet::run_contended_fleet(specs, options);
+    const std::uint64_t events = report.grants + (entries.value() - entries_before);
+    EXPECT_GT(report.grants, 0u);
+    return static_cast<double>(windows.value() - windows_before) / static_cast<double>(events);
+  };
+  const double small = windows_per_event(96, 64);
+  const double large = windows_per_event(384, 256);  // 16x the executions per instance
+  EXPECT_LE(small, 2.0);
+  EXPECT_LE(large, 2.0);
 }
 
 TEST(Multitenant, QuotaFloorsSurviveWeightedRebalance) {

@@ -4,15 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "base/prng.h"
 #include "baselines/molen.h"
 #include "baselines/software_only.h"
 #include "baselines/static_asip.h"
 #include "h264/workload.h"
+#include "fleet/shared_decision_cache.h"
 #include "isa/h264_si_library.h"
+#include "jpeg/jpeg_si_library.h"
+#include "rtm/fabric_arbiter.h"
 #include "rtm/run_time_manager.h"
 #include "sched/hef.h"
 #include "sched/registry.h"
+#include "select/selection.h"
 #include "sim/executor.h"
 
 namespace rispp {
@@ -310,6 +318,154 @@ TEST(RunTimeManager, TinyDecisionCacheStaysBitExact) {
   const Cycles reference = total(false, 4096);
   EXPECT_EQ(total(true, 1), reference);
   EXPECT_EQ(total(true, 4096), reference);
+}
+
+TEST(DecisionKey, CappingReadyAtomsAtTheNeedNeverChangesADecision) {
+  // The key keeps only what a decision reads: the listed SIs' forecasts and
+  // the ready atoms capped at the need (the join of every molecule of the
+  // listed SIs). Selection reads no ready atoms, and the schedulers read
+  // them only through leq, ⊖ and ∪ against molecules of listed SIs, all ≤
+  // the need — so select+schedule must agree on both inputs. Seeded fuzz
+  // over both SI sets, every scheduler, hot-spot-style lists (any order) and
+  // prefetch-style lists (the SIs with a nonzero forecast, ascending).
+  const SpecialInstructionSet h264 = h264sis::build_h264_si_set();
+  const SpecialInstructionSet jpeg = jpegsis::build_jpeg_si_set();
+  Xoshiro256 rng(0x5eedcab);
+  int capped = 0;
+  for (const SpecialInstructionSet* set_ptr : {&h264, &jpeg}) {
+    const SpecialInstructionSet& set = *set_ptr;
+    for (const std::string& name : scheduler_names()) {
+      const auto scheduler = make_scheduler(name);
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<std::uint64_t> forecast(set.si_count(), 0);
+        std::vector<SiId> sis;
+        for (SiId si = 0; si < set.si_count(); ++si)
+          if (rng.bounded(3) != 0) forecast[si] = static_cast<std::uint64_t>(rng.range(1, 20'000));
+        if (trial % 3 == 0) {
+          for (SiId si = 0; si < set.si_count(); ++si)
+            if (forecast[si] > 0) sis.push_back(si);
+        } else {
+          for (SiId si = 0; si < set.si_count(); ++si)
+            if (rng.bounded(2) != 0) sis.push_back(si);
+          for (std::size_t i = sis.size(); i > 1; --i)
+            std::swap(sis[i - 1], sis[rng.bounded(i)]);
+        }
+        if (sis.empty()) continue;
+        Molecule ready(set.atom_type_count());
+        for (AtomTypeId t = 0; t < ready.dimension(); ++t)
+          ready[t] = static_cast<AtomCount>(rng.bounded(5));
+        Molecule capped_ready = ready;
+        meet_into(capped_ready, fleet::decision_need(set, sis));
+        if (!(capped_ready == ready)) ++capped;
+        // The key also drops the forecasts of unlisted SIs.
+        std::vector<std::uint64_t> listed_forecast(set.si_count(), 0);
+        for (const SiId si : sis) listed_forecast[si] = forecast[si];
+        const unsigned budget = static_cast<unsigned>(rng.range(0, 24));
+        const Cycles payback = rng.bounded(2) != 0 ? 4'000 : 0;
+
+        const auto decide = [&](const Molecule& available,
+                                const std::vector<std::uint64_t>& expected) {
+          SelectionRequest sel;
+          sel.set = &set;
+          sel.hot_spot_sis = sis;
+          sel.expected_executions = expected;
+          sel.container_count = budget;
+          ScheduleRequest req;
+          req.set = &set;
+          req.selected = select_molecules(sel);
+          req.available = available;
+          req.expected_executions = expected;
+          req.payback_cycles_per_atom = payback;
+          return std::make_pair(req.selected, scheduler->schedule(req));
+        };
+        const auto [full_selection, full] = decide(ready, forecast);
+        const auto [key_selection, keyed] = decide(capped_ready, listed_forecast);
+        ASSERT_EQ(full_selection, key_selection) << name << " trial " << trial;
+        ASSERT_EQ(full.loads, keyed.loads) << name << " trial " << trial;
+        ASSERT_EQ(full.steps.size(), keyed.steps.size()) << name << " trial " << trial;
+        for (std::size_t i = 0; i < full.steps.size(); ++i) {
+          EXPECT_EQ(full.steps[i].molecule, keyed.steps[i].molecule);
+          EXPECT_EQ(full.steps[i].load_count, keyed.steps[i].load_count);
+        }
+      }
+    }
+  }
+  EXPECT_GT(capped, 500);  // the cap actually bit on most inputs
+}
+
+TEST(DecisionKey, ReadyAtomsOutsideTheNeedShareOneMemoEntry) {
+  const auto set = h264sis::build_h264_si_set();
+  const SiId sad = set.find("SAD").value();
+  const std::vector<SiId> sis = {sad};
+  const Molecule need = fleet::decision_need(set, sis);
+  AtomTypeId outside = 0;
+  while (outside < need.dimension() && need[outside] != 0) ++outside;
+  ASSERT_LT(outside, need.dimension()) << "some atom type must lie outside SAD's need";
+  AtomTypeId inside = 0;
+  while (need[inside] == 0) ++inside;
+
+  // The shared cache: ready molecules that differ only outside the need, or
+  // forecasts that differ only at unlisted SIs, build one key.
+  std::vector<std::uint64_t> forecast(set.si_count(), 7);
+  forecast[sad] = 10'000;
+  const Molecule ready(set.atom_type_count());
+  Molecule ready_outside = ready;
+  ready_outside[outside] = 3;
+  Molecule ready_inside = ready;
+  ready_inside[inside] = 1;
+  std::vector<std::uint64_t> other_forecast = forecast;
+  other_forecast[sad == 0 ? 1 : 0] = 99;
+  fleet::DecisionKey key, same, different;
+  fleet::make_decision_key(0, sis, forecast, ready, need, 10, key);
+  fleet::make_decision_key(0, sis, other_forecast, ready_outside, need, 10, same);
+  fleet::make_decision_key(0, sis, forecast, ready_inside, need, 10, different);
+  EXPECT_EQ(key, same);
+  EXPECT_FALSE(key == different);
+  fleet::SharedDecisionCache cache(16, 1);
+  fleet::SharedDecision decision;
+  decision.loads = {inside};
+  cache.insert(/*session=*/1, key, decision);
+  fleet::SharedDecision out;
+  EXPECT_TRUE(cache.lookup(/*session=*/2, same, out));
+  EXPECT_EQ(out.loads, decision.loads);
+  EXPECT_FALSE(cache.lookup(/*session=*/2, different, out));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.cross_session_hits(), 1u);
+
+  // The per-RTM memo: a 1-tenant arbiter hands out the tenant's container
+  // view, so an atom outside the need can become ready between two entries
+  // of the same hot spot. `now` stays 0, so the RTM's own load never lands.
+  ArbiterConfig arbiter_config;
+  arbiter_config.total_containers = 14;
+  FabricArbiter arbiter(arbiter_config);
+  TenantConfig tenant_config;
+  tenant_config.quota = 14;
+  const TenantId tenant = arbiter.add_tenant(tenant_config);
+  HefScheduler hef;
+  RtmConfig config = config_with(&hef, 14);
+  config.forecast_mode = ForecastMode::kStaticSeeds;
+  config.arbiter = &arbiter;
+  config.tenant = tenant;
+  RunTimeManager rtm(&set, 1, config);
+  rtm.seed_forecast(0, sad, 10'000);
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"ME", sis, 8}};
+  trace.instances = {HotSpotInstance{0, {}, 0}};
+
+  rtm.on_hot_spot_entry(trace, 0, 0);
+  rtm.on_hot_spot_exit(0);
+  EXPECT_EQ(rtm.decision_cache_misses(), 1u);
+  ContainerFile& file = arbiter.containers(tenant);
+  const auto empty = file.find_empty();
+  ASSERT_TRUE(empty.has_value());
+  file.begin_load(*empty, outside);
+  file.complete_load(*empty);
+  ASSERT_EQ(rtm.ready_atoms()[outside], 1u);
+  rtm.on_hot_spot_entry(trace, 0, 0);
+  rtm.on_hot_spot_exit(0);
+  EXPECT_EQ(rtm.decision_cache_hits(), 1u);
+  EXPECT_EQ(rtm.decision_cache_misses(), 1u);
+  EXPECT_EQ(rtm.decision_cache_size(), 1u);
 }
 
 TEST(Molen, NoIntermediateAcceleration) {
