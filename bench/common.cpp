@@ -101,20 +101,13 @@ SimResult BenchContext::run_scheduler(const std::string& scheduler_name,
   return run_trace(trace, rtm, stats);
 }
 
-SimResult BenchContext::run_molen(unsigned container_count, SimStats* stats) const {
-  MolenConfig config;
+SimResult BenchContext::run_baseline(LoadPolicy policy, unsigned container_count,
+                                     SimStats* stats) const {
+  SingleImplConfig config;
   config.container_count = container_count;
-  MolenBackend molen(&set, trace.hot_spots.size(), config);
-  h264::seed_default_forecasts(set, molen);
-  return run_trace(trace, molen, stats);
-}
-
-SimResult BenchContext::run_onechip(unsigned container_count, SimStats* stats) const {
-  OneChipConfig config;
-  config.container_count = container_count;
-  OneChipBackend onechip(&set, trace.hot_spots.size(), config);
-  h264::seed_default_forecasts(set, onechip);
-  return run_trace(trace, onechip, stats);
+  SingleImplBackend baseline(&set, trace.hot_spots.size(), config, policy);
+  h264::seed_default_forecasts(set, baseline);
+  return run_trace(trace, baseline, stats);
 }
 
 BenchPerfLog::BenchPerfLog(std::string name)

@@ -26,7 +26,6 @@
 
 #include "base/parallel.h"
 #include "baselines/molen.h"
-#include "baselines/onechip.h"
 #include "fleet/spec.h"
 #include "h264/workload.h"
 #include "isa/h264_si_library.h"
@@ -48,11 +47,10 @@ struct BenchContext {
                           SimStats* stats = nullptr,
                           ForecastMode mode = ForecastMode::kMonitored) const;
 
-  /// Runs the trace under the Molen-like baseline.
-  SimResult run_molen(unsigned container_count, SimStats* stats = nullptr) const;
-
-  /// Runs the trace under the OneChip-like baseline.
-  SimResult run_onechip(unsigned container_count, SimStats* stats = nullptr) const;
+  /// Runs the trace under the single-implementation baseline: Molen-like
+  /// with kPrefetch, OneChip-like with kDemand.
+  SimResult run_baseline(LoadPolicy policy, unsigned container_count,
+                         SimStats* stats = nullptr) const;
 };
 
 /// Number of frames the benches use (env RISPP_FRAMES, default 140).

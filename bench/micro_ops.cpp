@@ -8,7 +8,6 @@
 
 #include "alg/molecule.h"
 #include "baselines/molen.h"
-#include "baselines/onechip.h"
 #include "base/metrics.h"
 #include "base/parallel.h"
 #include "base/prng.h"
@@ -424,19 +423,14 @@ void BM_TraceReplay(benchmark::State& state) {
   constexpr unsigned kAcs = 17;
   const auto make_backend = [&]() -> std::unique_ptr<ExecutionBackend> {
     const std::size_t hot_spots = ctx.trace.hot_spots.size();
-    if (state.range(1) == 1) {
-      MolenConfig config;
+    if (state.range(1) != 0) {
+      SingleImplConfig config;
       config.container_count = kAcs;
-      auto molen = std::make_unique<MolenBackend>(&ctx.set, hot_spots, config);
-      h264::seed_default_forecasts(ctx.set, *molen);
-      return molen;
-    }
-    if (state.range(1) == 2) {
-      OneChipConfig config;
-      config.container_count = kAcs;
-      auto onechip = std::make_unique<OneChipBackend>(&ctx.set, hot_spots, config);
-      h264::seed_default_forecasts(ctx.set, *onechip);
-      return onechip;
+      auto baseline = std::make_unique<SingleImplBackend>(
+          &ctx.set, hot_spots, config,
+          state.range(1) == 1 ? LoadPolicy::kPrefetch : LoadPolicy::kDemand);
+      h264::seed_default_forecasts(ctx.set, *baseline);
+      return baseline;
     }
     RtmConfig config;
     config.container_count = kAcs;

@@ -29,8 +29,8 @@ int main() {
     switch (cell.system) {
       case 0: return ctx.run_scheduler("ASF", cell.acs).total_cycles;
       case 1: return ctx.run_scheduler("HEF", cell.acs).total_cycles;
-      case 2: return ctx.run_molen(cell.acs).total_cycles;
-      default: return ctx.run_onechip(cell.acs).total_cycles;
+      case 2: return ctx.run_baseline(LoadPolicy::kPrefetch, cell.acs).total_cycles;
+      default: return ctx.run_baseline(LoadPolicy::kDemand, cell.acs).total_cycles;
     }
   });
 

@@ -6,28 +6,30 @@
 
 namespace rispp {
 
-MolenBackend::MolenBackend(const SpecialInstructionSet* set, std::size_t hot_spot_count,
-                           const MolenConfig& config)
+SingleImplBackend::SingleImplBackend(const SpecialInstructionSet* set,
+                                     std::size_t hot_spot_count,
+                                     const SingleImplConfig& config, LoadPolicy policy)
     : WindowedBackend(set->si_count(), monitor_, type_last_used_),
       set_(set),
-      config_(config),
+      policy_(policy),
       monitor_(hot_spot_count, set->si_count()),
       containers_(config.container_count, set->atom_type_count()),
       port_(&set->library(), config.bitstream),
       demand_(set->atom_type_count()),
       soft_demand_(set->atom_type_count()),
       hot_spot_sup_(hot_spot_count, Molecule(set->atom_type_count())),
+      unrequested_(set->si_count(), 0),
       type_last_used_(set->atom_type_count(), 0),
       cached_latency_(set->si_count(), 0),
       cached_stamp_(set->si_count(), nullptr),
       selected_molecule_(set->si_count(), kSoftwareMolecule) {}
 
-void MolenBackend::seed_forecast(HotSpotId hs, SiId si, std::uint64_t expected) {
+void SingleImplBackend::seed_forecast(HotSpotId hs, SiId si, std::uint64_t expected) {
   monitor_.seed(hs, si, expected);
 }
 
-void MolenBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
-                                     Cycles now) {
+void SingleImplBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t instance,
+                                          Cycles now) {
   advance_reconfig(now);
 
   const HotSpotId hs = trace.instances[instance].hot_spot;
@@ -42,44 +44,49 @@ void MolenBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t ins
   sel_req.hot_spot_sis = info.sis;
   sel_req.expected_executions = forecast;
   sel_req.container_count = containers_.size();
-  selection_ = select_molecules(sel_req);
-
-  // Prefetch: load each selected molecule completely, most important SI
-  // first (the explicit reconfiguration instructions of the Molen model).
-  ScheduleRequest order_req;
-  order_req.set = set_;
-  order_req.selected = selection_;
-  order_req.available = containers_.ready_atoms();
-  order_req.expected_executions = forecast;
-  const std::vector<SiRef> order = by_importance(order_req);
+  const std::vector<SiRef> selection = select_molecules(sel_req);
 
   pending_loads_.clear();
-  Molecule accumulated = containers_.ready_atoms();
-  for (const SiRef& s : order) {
-    const Molecule& atoms = set_->si(s.si).molecule(s.mol).atoms;
-    for (AtomTypeId t : unit_decomposition(missing(accumulated, atoms)))
-      pending_loads_.push_back(t);
-    accumulated = join(accumulated, atoms);
+  std::fill(unrequested_.begin(), unrequested_.end(), 0);
+  std::fill(selected_molecule_.begin(), selected_molecule_.end(), kSoftwareMolecule);
+  demand_ = Molecule(set_->atom_type_count());
+  for (const SiRef& s : selection) {
+    selected_molecule_[s.si] = s.mol;
+    demand_ = join(demand_, set_->si(s.si).molecule(s.mol).atoms);
   }
 
-  demand_ = Molecule(set_->atom_type_count());
-  for (const SiRef& s : selection_)
-    demand_ = join(demand_, set_->si(s.si).molecule(s.mol).atoms);
-  hot_spot_sup_[hs] = demand_;
-  soft_demand_ = Molecule(set_->atom_type_count());
-  for (HotSpotId other = 0; other < hot_spot_sup_.size(); ++other)
-    if (other != hs) soft_demand_ = join(soft_demand_, hot_spot_sup_[other]);
+  if (policy_ == LoadPolicy::kPrefetch) {
+    // Load each selected molecule completely, most important SI first (the
+    // explicit reconfiguration instructions of the Molen model).
+    ScheduleRequest order_req;
+    order_req.set = set_;
+    order_req.selected = selection;
+    order_req.available = containers_.ready_atoms();
+    order_req.expected_executions = forecast;
+    Molecule accumulated = containers_.ready_atoms();
+    for (const SiRef& s : by_importance(order_req)) {
+      const Molecule& atoms = set_->si(s.si).molecule(s.mol).atoms;
+      for (AtomTypeId t : unit_decomposition(missing(accumulated, atoms)))
+        pending_loads_.push_back(t);
+      accumulated = join(accumulated, atoms);
+    }
 
-  std::fill(selected_molecule_.begin(), selected_molecule_.end(), kSoftwareMolecule);
-  for (const SiRef& s : selection_) selected_molecule_[s.si] = s.mol;
+    hot_spot_sup_[hs] = demand_;
+    soft_demand_ = Molecule(set_->atom_type_count());
+    for (HotSpotId other = 0; other < hot_spot_sup_.size(); ++other)
+      if (other != hs) soft_demand_ = join(soft_demand_, hot_spot_sup_[other]);
+  } else {
+    // Configurations are requested lazily, at each SI's first use.
+    for (const SiRef& s : selection) unrequested_[s.si] = s.mol != kSoftwareMolecule;
+  }
   cache_valid_ = false;
 
   start_pending_loads(now);
 }
 
-void MolenBackend::on_hot_spot_exit(Cycles) { monitor_.end_hot_spot(); }
+void SingleImplBackend::on_hot_spot_exit(Cycles) { monitor_.end_hot_spot(); }
 
-void MolenBackend::advance_reconfig(Cycles now) {
+void SingleImplBackend::advance_reconfig(Cycles now) {
   while (port_.busy() && port_.inflight()->finishes_at <= now) {
     const auto done = port_.retire(now);
     containers_.complete_load(done.container);
@@ -89,7 +96,21 @@ void MolenBackend::advance_reconfig(Cycles now) {
   if (!port_.busy()) start_pending_loads(now);
 }
 
-void MolenBackend::start_pending_loads(Cycles now) {
+void SingleImplBackend::request_configuration(SiId si, Cycles now) {
+  if (unrequested_[si] == 0) return;
+  unrequested_[si] = 0;
+  const MoleculeId mol = selected_molecule_[si];
+  // Queue the atoms this SI's single implementation still misses, counting
+  // what earlier requests already queued.
+  Molecule accumulated = containers_.ready_atoms();
+  for (AtomTypeId t : pending_loads_) ++accumulated[t];
+  if (port_.busy()) ++accumulated[port_.inflight()->type];
+  for (AtomTypeId t : unit_decomposition(missing(accumulated, set_->si(si).molecule(mol).atoms)))
+    pending_loads_.push_back(t);
+  start_pending_loads(now);
+}
+
+void SingleImplBackend::start_pending_loads(Cycles now) {
   while (!port_.busy() && !pending_loads_.empty()) {
     const AtomTypeId type = pending_loads_.front();
     const auto victim = pick_victim(containers_, demand_, soft_demand_, type_last_used_);
@@ -101,7 +122,7 @@ void MolenBackend::start_pending_loads(Cycles now) {
   }
 }
 
-void MolenBackend::refresh_cache() {
+void SingleImplBackend::refresh_cache() {
   const Molecule& ready = containers_.ready_atoms();
   for (SiId si = 0; si < set_->si_count(); ++si) {
     const MoleculeId mol = selected_molecule_[si];
@@ -111,16 +132,16 @@ void MolenBackend::refresh_cache() {
       cached_latency_[si] = set_->si(si).molecule(mol).latency;
     else
       cached_latency_[si] = set_->si(si).software_latency;
-    cached_stamp_[si] = mol != kSoftwareMolecule &&
-                                cached_latency_[si] != set_->si(si).software_latency
+    cached_stamp_[si] = cached_latency_[si] != set_->si(si).software_latency
                             ? &set_->si(si).molecule(mol).atoms
                             : nullptr;
   }
   cache_valid_ = true;
 }
 
-Cycles MolenBackend::si_execution_latency(SiId si, Cycles now) {
+Cycles SingleImplBackend::si_execution_latency(SiId si, Cycles now) {
   advance_reconfig(now);
+  request_configuration(si, now);
   if (!cache_valid_) refresh_cache();
   monitor_.record_execution(si);
   if (const Molecule* atoms = cached_stamp_[si])
@@ -129,12 +150,14 @@ Cycles MolenBackend::si_execution_latency(SiId si, Cycles now) {
   return cached_latency_[si];
 }
 
-PortWindow MolenBackend::open_window(Cycles now, SiId) {
+PortWindow SingleImplBackend::open_window(Cycles now, SiId next) {
   advance_reconfig(now);
+  request_configuration(next, now);
   if (!cache_valid_) refresh_cache();
   std::optional<Cycles> end;
   if (port_.busy()) end = port_.inflight()->finishes_at;
-  return PortWindow{end, cached_latency_.data(), cached_stamp_.data()};
+  return PortWindow{end, cached_latency_.data(), cached_stamp_.data(),
+                    policy_ == LoadPolicy::kDemand ? unrequested_.data() : nullptr};
 }
 
 }  // namespace rispp

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "base/env.h"
 #include "h264/simd.h"
 
 namespace rispp::h264 {
@@ -19,9 +18,7 @@ inline void hadamard4(int& a, int& b, int& c, int& d) {
 }
 
 KernelBackend default_backend() {
-  if (!simd_available()) return KernelBackend::kScalar;
-  return parse_env_int("RISPP_SIMD", 1, 0, 1) != 0 ? KernelBackend::kSimd
-                                                   : KernelBackend::kScalar;
+  return simd_available() ? KernelBackend::kSimd : KernelBackend::kScalar;
 }
 
 std::atomic<KernelBackend>& backend_state() {

@@ -24,7 +24,7 @@ enum class KernelBackend {
 bool simd_available();
 
 /// The backend the dispatching kernels currently use. Defaults to kSimd when
-/// available unless RISPP_SIMD=0 (strictly parsed, base/env.h).
+/// available.
 KernelBackend active_kernel_backend();
 
 /// Overrides the backend process-wide (benches and equivalence tests).

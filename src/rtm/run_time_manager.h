@@ -124,7 +124,6 @@ class RunTimeManager final : public WindowedBackend {
 
   // -- Introspection (tests, Figure 8 analysis) ------------------------
   const Molecule& ready_atoms() const { return cf_->ready_atoms(); }
-  const std::vector<SiRef>& current_selection() const { return selection_; }
   const ExecutionMonitor& monitor() const { return monitor_; }
   /// Latency the SI would take if issued at the current state.
   Cycles current_latency(SiId si) const;

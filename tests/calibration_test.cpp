@@ -40,12 +40,12 @@ class CalibrationFixture : public ::testing::Test {
     return run_trace(*trace_, rtm).total_cycles;
   }
 
-  static Cycles run_molen(unsigned acs) {
-    MolenConfig config;
+  static Cycles run_baseline(LoadPolicy policy, unsigned acs) {
+    SingleImplConfig config;
     config.container_count = acs;
-    MolenBackend molen(set_, 3, config);
-    h264::seed_default_forecasts(*set_, molen);
-    return run_trace(*trace_, molen).total_cycles;
+    SingleImplBackend baseline(set_, 3, config, policy);
+    h264::seed_default_forecasts(*set_, baseline);
+    return run_trace(*trace_, baseline).total_cycles;
   }
 
   static constexpr int kFrames = 16;
@@ -98,14 +98,17 @@ TEST_F(CalibrationFixture, HefNeverMeaningfullySlowerThanOtherSchedulers) {
     EXPECT_LE(hef_sum, other_sum) << "HEF worse than " << name << " on average";
   }
   for (std::size_t i = 0; i < budgets.size(); ++i)
-    EXPECT_LE(hef[i], static_cast<double>(run_molen(budgets[i])) * 1.02)
+    EXPECT_LE(hef[i],
+              static_cast<double>(run_baseline(LoadPolicy::kPrefetch, budgets[i])) * 1.02)
         << "Molen @ " << budgets[i];
 }
 
 TEST_F(CalibrationFixture, HefVsMolenSpeedupGrowsIntoPaperBand) {
   // Paper Table 2: 1.09x at 5 ACs growing to 2.38x at 24 ACs.
-  const double low = static_cast<double>(run_molen(6)) / run_scheduler("HEF", 6);
-  const double high = static_cast<double>(run_molen(24)) / run_scheduler("HEF", 24);
+  const double low =
+      static_cast<double>(run_baseline(LoadPolicy::kPrefetch, 6)) / run_scheduler("HEF", 6);
+  const double high =
+      static_cast<double>(run_baseline(LoadPolicy::kPrefetch, 24)) / run_scheduler("HEF", 24);
   EXPECT_LT(low, 1.4);
   EXPECT_GT(high, 1.8);
   EXPECT_LT(high, 3.2);
