@@ -63,7 +63,7 @@ int main() {
                       cells[i].name << ": instance count diverged");
       for (std::size_t k = 0; k < trace.instances.size(); ++k) {
         RISPP_CHECK_MSG(trace.instances[k].hot_spot == reference.instances[k].hot_spot &&
-                            trace.instances[k].executions == reference.instances[k].executions,
+                            trace.instances[k].runs == reference.instances[k].runs,
                         cells[i].name << ": SI events diverged at instance " << k);
       }
     }

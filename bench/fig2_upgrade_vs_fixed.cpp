@@ -33,7 +33,7 @@ int main() {
   std::printf(
       "Figure 2 — ME hot spot, %zu SAD+SATD executions (paper: 31,977)\n"
       "Executions per 100K cycles, with vs. without stepwise SI upgrade\n\n",
-      me.instances.front().executions.size());
+      me.instances.front().execution_count());
 
   constexpr unsigned kAcs = 17;  // room for the full ME selection
 

@@ -389,8 +389,9 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   HotSpotInstance inst;
   inst.hot_spot = 0;
   inst.entry_overhead = 1000;
-  for (int i = 0; i < 100'000; ++i) inst.executions.push_back(i % 8 == 7 ? satd : sad);
+  for (int i = 0; i < 100'000; ++i) inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
+  trace.index_runs();
 
   const HefScheduler hef;
   for (auto _ : state) {
@@ -465,9 +466,9 @@ void BM_ParallelFor(benchmark::State& state) {
   HotSpotInstance inst;
   inst.hot_spot = 0;
   inst.entry_overhead = 1000;
-  for (int i = 0; i < 20'000; ++i) inst.executions.push_back(i % 8 == 7 ? satd : sad);
+  for (int i = 0; i < 20'000; ++i) inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
-  trace.build_runs();
+  trace.index_runs();
 
   constexpr std::size_t kCells = 16;
   ThreadPool pool(static_cast<unsigned>(state.range(0)));

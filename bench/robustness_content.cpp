@@ -74,7 +74,7 @@ int main() {
     int me_instances = 0;
     for (const auto& inst : workload.trace.instances)
       if (inst.hot_spot == h264::kHotSpotMe) {
-        me_execs += inst.executions.size();
+        me_execs += inst.execution_count();
         ++me_instances;
       }
     row.me_per_frame = me_instances > 0 ? me_execs / me_instances : 0;

@@ -57,14 +57,15 @@ int main() {
   const SiId energy = set.find("LogEnergy").value();
   trace.hot_spots = {HotSpotInfo{"frame", {window, filter, energy}, 6}};
   for (int frame = 0; frame < 40; ++frame) {
-    HotSpotInstance inst{0, {}, 800};
+    HotSpotInstance inst{0, 800};
     for (int hop = 0; hop < 24; ++hop) {
-      inst.executions.push_back(window);
-      for (int band = 0; band < 12; ++band) inst.executions.push_back(filter);
-      inst.executions.push_back(energy);
+      inst.append(window);
+      inst.append(filter, 12);
+      inst.append(energy);
     }
     trace.instances.push_back(std::move(inst));
   }
+  trace.index_runs();
 
   std::printf("simulating %zu SI executions at 6 Atom Containers:\n",
               trace.total_si_executions());

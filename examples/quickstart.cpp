@@ -52,7 +52,10 @@ int main() {
   // --- 3. Simulate a hot spot of 20,000 FIR executions.
   WorkloadTrace trace;
   trace.hot_spots = {HotSpotInfo{"loop", {fir}, /*per_execution_overhead=*/6}};
-  trace.instances = {HotSpotInstance{0, std::vector<SiId>(20'000, fir), 500}};
+  HotSpotInstance loop{0, /*entry_overhead=*/500};
+  loop.append(fir, 20'000);
+  trace.instances = {loop};
+  trace.index_runs();
 
   RtmConfig config;
   config.container_count = 6;

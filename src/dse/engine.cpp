@@ -86,14 +86,10 @@ std::vector<std::vector<std::uint64_t>> trace_forecast_seeds(const WorkloadTrace
   for (const auto& inst : trace.instances) {
     ++instance_count[inst.hot_spot];
     auto& t = totals[inst.hot_spot];
-    const auto bump = [&t](SiId si, std::uint64_t n) {
-      if (si >= t.size()) t.resize(si + 1, 0);
-      t[si] += n;
-    };
-    if (!inst.runs.empty())
-      for (const SiRun& run : inst.runs) bump(run.si, run.count);
-    else
-      for (const SiId si : inst.executions) bump(si, 1);
+    for (const SiRun& run : inst.runs) {
+      if (run.si >= t.size()) t.resize(run.si + 1, 0);
+      t[run.si] += run.count;
+    }
   }
   for (HotSpotId hs = 0; hs < totals.size(); ++hs)
     if (instance_count[hs] != 0)

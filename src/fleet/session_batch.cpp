@@ -144,7 +144,6 @@ void SessionBatch::run_block(const Block& block) {
   // run_trace's batched mode and the multi-tenant co-simulation — so
   // per-session results are bit-identical to a solo replay.
   std::vector<LatencySegment> segments;
-  std::vector<SiRun> local_runs;  // fallback for traces without a run form
   for (std::size_t idx = 0; idx < trace.instances.size(); ++idx) {
     const HotSpotInstance& inst = trace.instances[idx];
     for (std::size_t i = 0; i < k; ++i) {
@@ -152,7 +151,7 @@ void SessionBatch::run_block(const Block& block) {
       const Cycles entered = now[i];
       SimStats* stats = options_.collect_stats ? stats_[s].get() : nullptr;
       now[i] = replay_instance(trace, idx, *backends[i], stats, now[i], si_executions_[s],
-                               segments, local_runs);
+                               segments);
       hot_spot_cycles_[hot_spot_offset_[s] + inst.hot_spot] += now[i] - entered;
     }
   }

@@ -53,30 +53,31 @@ WorkloadResult generate_h264_workload(const SpecialInstructionSet& set,
 
   double psnr_sum = 0.0;
   std::uint64_t total_bits = 0;
+  // One frame's SI streams at a time, cleared after they become runs; kept
+  // across frames so their buffers are not freed and regrown every frame.
+  FrameSiTrace frame_trace;
   for (int f = 0; f < config.frames; ++f) {
     const Frame input = video.next();
-    FrameSiTrace frame_trace;
     const FrameResult fr = encoder.encode_frame(input, &frame_trace);
     psnr_sum += fr.psnr;
     total_bits += fr.bits;
     result.intra_mbs += fr.intra_mbs;
     result.inter_mbs += fr.inter_mbs;
 
-    if (!frame_trace.me.empty()) {
-      trace.instances.push_back(HotSpotInstance{
-          kHotSpotMe, std::move(frame_trace.me), config.hot_spot_entry_overhead});
-    }
-    trace.instances.push_back(HotSpotInstance{
-        kHotSpotEe, std::move(frame_trace.ee), config.hot_spot_entry_overhead});
-    trace.instances.push_back(HotSpotInstance{
-        kHotSpotLf, std::move(frame_trace.lf), config.hot_spot_entry_overhead});
+    if (!frame_trace.me.empty())
+      trace.instances.emplace_back(kHotSpotMe, frame_trace.me, config.hot_spot_entry_overhead);
+    trace.instances.emplace_back(kHotSpotEe, frame_trace.ee, config.hot_spot_entry_overhead);
+    trace.instances.emplace_back(kHotSpotLf, frame_trace.lf, config.hot_spot_entry_overhead);
+    frame_trace.me.clear();
+    frame_trace.ee.clear();
+    frame_trace.lf.clear();
   }
   result.mean_psnr = config.frames > 0 ? psnr_sum / config.frames : 0.0;
   result.mean_bitrate_kbps =
       config.frames > 0
           ? static_cast<double>(total_bits) * 30.0 / config.frames / 1000.0
           : 0.0;
-  trace.build_runs();
+  trace.index_runs();
   return result;
 }
 

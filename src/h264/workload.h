@@ -19,8 +19,9 @@ enum : HotSpotId { kHotSpotMe = 0, kHotSpotEe = 1, kHotSpotLf = 2 };
 
 /// Bump when the encoder/workload changes in a way that alters recorded
 /// traces or their file format — cache files (bench/common.cpp) are keyed on
-/// it. v4: trace format v2 (serialized RLE runs).
-inline constexpr int kWorkloadTraceVersion = 4;
+/// it. v4: trace format v2 (serialized RLE runs). v5: trace format v3 (runs
+/// only, checksummed).
+inline constexpr int kWorkloadTraceVersion = 5;
 
 struct WorkloadConfig {
   int frames = 140;  // the paper's sequence length

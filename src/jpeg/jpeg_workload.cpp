@@ -64,22 +64,22 @@ JpegWorkloadResult generate_jpeg_workload(const SpecialInstructionSet& set,
     const double busyness =
         0.6 + 0.5 * std::sin(img * 0.35) + rng.uniform01() * 0.3;
 
-    HotSpotInstance cc{kHotSpotCc, {}, 1'500};
-    HotSpotInstance tq{kHotSpotTq, {}, 1'500};
-    HotSpotInstance ec{kHotSpotEc, {}, 1'500};
+    HotSpotInstance cc{kHotSpotCc, 1'500};
+    HotSpotInstance tq{kHotSpotTq, 1'500};
+    HotSpotInstance ec{kHotSpotEc, 1'500};
     for (int mcu = 0; mcu < mcus_x * mcus_y; ++mcu) {
       // Per MCU: 4 luma + 2 chroma 8x8 blocks.
-      for (int b = 0; b < 6; ++b) cc.executions.push_back(csc);
-      cc.executions.push_back(down);
+      cc.append(csc, 6);
+      cc.append(down);
       for (int b = 0; b < 6; ++b) {
-        tq.executions.push_back(fdct);
-        tq.executions.push_back(quant);
+        tq.append(fdct);
+        tq.append(quant);
         const int activity = block_activity(rng, busyness);
         activity_sum += static_cast<std::uint64_t>(activity);
         ++result.total_blocks;
         // RLE work scales with the number of coefficient runs.
         const int rle_invocations = 1 + activity / 4;
-        for (int k = 0; k < rle_invocations; ++k) ec.executions.push_back(rle);
+        ec.append(rle, static_cast<std::uint64_t>(rle_invocations));
       }
     }
     trace.instances.push_back(std::move(cc));
@@ -90,7 +90,7 @@ JpegWorkloadResult generate_jpeg_workload(const SpecialInstructionSet& set,
                              ? static_cast<double>(activity_sum) /
                                    static_cast<double>(result.total_blocks)
                              : 0.0;
-  trace.build_runs();
+  trace.index_runs();
   return result;
 }
 

@@ -13,8 +13,9 @@ namespace rispp::jpeg {
 enum : HotSpotId { kHotSpotCc = 0, kHotSpotTq = 1, kHotSpotEc = 2 };
 
 /// Bump when the compressor/workload changes in a way that alters recorded
-/// traces — disk cache files are keyed on it (see trace_cache_path).
-inline constexpr int kJpegWorkloadTraceVersion = 1;
+/// traces or their file format — disk cache files are keyed on it (see
+/// trace_cache_path). v2: trace format v3 (runs only, checksummed).
+inline constexpr int kJpegWorkloadTraceVersion = 2;
 
 struct JpegWorkloadConfig {
   int images = 40;

@@ -109,7 +109,8 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
       break;
     case ForecastMode::kOracle:
       oracle_forecast_.assign(set_->si_count(), 0);
-      for (SiId si : trace.instances[instance].executions) ++oracle_forecast_[si];
+      for (const SiRun& run : trace.instances[instance].runs)
+        oracle_forecast_[run.si] += run.count;
       forecast = &oracle_forecast_;
       break;
   }
@@ -304,7 +305,7 @@ void RunTimeManager::compute_prefetch() {
   //  - kMonitored: the monitor's adapted forecast (the paper's system);
   //  - kStaticSeeds: the design-time profile, never adapted;
   //  - kOracle: the oracle only knows the *current* instance's exact counts
-  //    (it reads trace.instances[instance].executions); no future instance
+  //    (it reads trace.instances[instance].runs); no future instance
   //    of `next` has been reached yet, so oracle prefetch intentionally
   //    falls back to the monitored forecast rather than pretending to know
   //    counts it cannot have.

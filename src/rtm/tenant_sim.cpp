@@ -14,7 +14,6 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
   std::vector<Cycles> clocks(n, 0);
   std::vector<std::size_t> next_instance(n, 0);
   std::vector<std::vector<LatencySegment>> segments(n);
-  std::vector<std::vector<SiRun>> runs_scratch(n);
   static MetricCounter& entries = metric_counter("sim.hot_spot_entries");
 
   std::size_t live = 0;
@@ -56,8 +55,7 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
     const Cycles entered = clocks[pick];
     entries.add();
     clocks[pick] = replay_instance(*t.trace, idx, *t.rtm, t.stats, entered,
-                                   results[pick].si_executions, segments[pick],
-                                   runs_scratch[pick]);
+                                   results[pick].si_executions, segments[pick]);
     results[pick].hot_spot_cycles[t.trace->instances[idx].hot_spot] += clocks[pick] - entered;
 
     if (done(pick)) {

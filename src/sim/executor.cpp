@@ -68,91 +68,46 @@ MetricCounter& hot_spot_entries_counter() {
   return entries;
 }
 
-SimResult run_trace_scalar(const WorkloadTrace& trace, ExecutionBackend& backend,
-                           SimStats* stats) {
-  SimResult result;
-  result.hot_spot_cycles.assign(trace.hot_spots.size(), 0);
-  const InstanceTraceRow row(trace, backend);
-  MetricCounter& entries = hot_spot_entries_counter();
-  Cycles now = 0;
-  for (std::size_t idx = 0; idx < trace.instances.size(); ++idx) {
-    const HotSpotInstance& inst = trace.instances[idx];
-    const HotSpotInfo& info = trace.hot_spots[inst.hot_spot];
-    const Cycles entered = now;
-    entries.add();
-    row.begin(inst.hot_spot, entered);
-    now += inst.entry_overhead;
-    backend.on_hot_spot_entry(trace, idx, now);
-    for (SiId si : inst.executions) {
-      const Cycles latency = backend.si_execution_latency(si, now);
-      if (stats) stats->record_execution(si, now, latency);
-      now += latency + info.per_execution_overhead;
-      ++result.si_executions;
+/// The scalar reference body of one instance: one si_execution_latency call
+/// per execution.
+Cycles replay_instance_scalar(const WorkloadTrace& trace, std::size_t instance,
+                              ExecutionBackend& backend, SimStats* stats, Cycles now,
+                              std::uint64_t& si_executions) {
+  const HotSpotInstance& inst = trace.instances[instance];
+  const Cycles overhead = trace.hot_spots[inst.hot_spot].per_execution_overhead;
+  now += inst.entry_overhead;
+  backend.on_hot_spot_entry(trace, instance, now);
+  for (const SiRun& run : inst.runs) {
+    for (std::uint32_t k = 0; k < run.count; ++k) {
+      const Cycles latency = backend.si_execution_latency(run.si, now);
+      if (stats) stats->record_execution(run.si, now, latency);
+      now += latency + overhead;
     }
-    backend.on_hot_spot_exit(now);
-    row.end(inst.hot_spot, now);
-    result.hot_spot_cycles[inst.hot_spot] += now - entered;
+    si_executions += run.count;
   }
-  result.total_cycles = now;
-  result.atom_loads = backend.completed_loads();
-  return result;
-}
-
-SimResult run_trace_batched(const WorkloadTrace& trace, ExecutionBackend& backend,
-                            SimStats* stats) {
-  SimResult result;
-  result.hot_spot_cycles.assign(trace.hot_spots.size(), 0);
-  const InstanceTraceRow row(trace, backend);
-  MetricCounter& entries = hot_spot_entries_counter();
-  Cycles now = 0;
-  std::vector<LatencySegment> segments;
-  std::vector<SiRun> local_runs;  // fallback when the trace has no run form
-  for (std::size_t idx = 0; idx < trace.instances.size(); ++idx) {
-    const HotSpotInstance& inst = trace.instances[idx];
-    const Cycles entered = now;
-    entries.add();
-    row.begin(inst.hot_spot, entered);
-    now = replay_instance(trace, idx, backend, stats, now, result.si_executions, segments,
-                          local_runs);
-    row.end(inst.hot_spot, now);
-    result.hot_spot_cycles[inst.hot_spot] += now - entered;
-  }
-  result.total_cycles = now;
-  result.atom_loads = backend.completed_loads();
-  return result;
+  backend.on_hot_spot_exit(now);
+  return now;
 }
 
 }  // namespace
 
 Cycles replay_instance(const WorkloadTrace& trace, std::size_t instance,
                        ExecutionBackend& backend, SimStats* stats, Cycles now,
-                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments,
-                       std::vector<SiRun>& runs_scratch) {
+                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments) {
   const HotSpotInstance& inst = trace.instances[instance];
   const HotSpotInfo& info = trace.hot_spots[inst.hot_spot];
   now += inst.entry_overhead;
   backend.on_hot_spot_entry(trace, instance, now);
-  const std::vector<SiRun>* runs = &inst.runs;
-  if (runs->empty() && !inst.executions.empty()) {
-    runs_scratch.clear();
-    for (SiId si : inst.executions) {
-      if (!runs_scratch.empty() && runs_scratch.back().si == si)
-        ++runs_scratch.back().count;
-      else
-        runs_scratch.push_back(SiRun{si, 1});
-    }
-    runs = &runs_scratch;
-  }
   if (!stats) {
     // No per-execution observation needed: let the backend fast-forward
     // the whole instance (port-quiet windows advance in pure arithmetic).
-    now = backend.si_execution_span(std::span<const SiRun>(*runs), now,
+    now = backend.si_execution_span(std::span<const SiRun>(inst.runs), now,
                                     info.per_execution_overhead);
-    si_executions += inst.executions.size();
+    si_executions += inst.execution_count();
     backend.on_hot_spot_exit(now);
     return now;
   }
-  for (const SiRun& run : *runs) {
+  for (const SiRun& run : inst.runs) {
     segments.clear();
     backend.si_execution_run_latency(run.si, run.count, now, info.per_execution_overhead,
                                      segments);
@@ -173,8 +128,27 @@ Cycles replay_instance(const WorkloadTrace& trace, std::size_t instance,
 
 SimResult run_trace(const WorkloadTrace& trace, ExecutionBackend& backend, SimStats* stats,
                     ReplayMode mode) {
-  return mode == ReplayMode::kScalar ? run_trace_scalar(trace, backend, stats)
-                                     : run_trace_batched(trace, backend, stats);
+  SimResult result;
+  result.hot_spot_cycles.assign(trace.hot_spots.size(), 0);
+  const InstanceTraceRow row(trace, backend);
+  MetricCounter& entries = hot_spot_entries_counter();
+  Cycles now = 0;
+  std::vector<LatencySegment> segments;
+  for (std::size_t idx = 0; idx < trace.instances.size(); ++idx) {
+    const HotSpotId hot_spot = trace.instances[idx].hot_spot;
+    const Cycles entered = now;
+    entries.add();
+    row.begin(hot_spot, entered);
+    now = mode == ReplayMode::kScalar
+              ? replay_instance_scalar(trace, idx, backend, stats, now, result.si_executions)
+              : replay_instance(trace, idx, backend, stats, now, result.si_executions,
+                                segments);
+    row.end(hot_spot, now);
+    result.hot_spot_cycles[hot_spot] += now - entered;
+  }
+  result.total_cycles = now;
+  result.atom_loads = backend.completed_loads();
+  return result;
 }
 
 }  // namespace rispp

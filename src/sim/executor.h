@@ -8,7 +8,8 @@
 // in the real platform (the port works while the pipeline executes).
 //
 // Two replay modes produce bit-exact identical results:
-//  - kScalar: one si_execution_latency() call per execution (the reference).
+//  - kScalar: one si_execution_latency() call per execution (the reference),
+//    each run of the trace expanded into its `count` executions.
 //  - kBatched: one si_execution_run_latency() call per run of consecutive
 //    identical executions. A backend's SI latency only changes when an atom
 //    load completes on the reconfiguration port, so between port-completion
@@ -105,16 +106,16 @@ enum class ReplayMode {
 /// segments recorded into `stats`) or the stats-less whole-instance span
 /// path, then on_hot_spot_exit. `now` is the cycle the instance is entered;
 /// returns the cycle after the last execution. `si_executions` accumulates
-/// the executed SI count; `segments` and `runs_scratch` are caller-owned
-/// scratch so replay loops stay allocation-free across instances.
+/// the executed SI count; `segments` is caller-owned scratch so replay loops
+/// stay allocation-free across instances.
 Cycles replay_instance(const WorkloadTrace& trace, std::size_t instance,
                        ExecutionBackend& backend, SimStats* stats, Cycles now,
-                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments,
-                       std::vector<SiRun>& runs_scratch);
+                       std::uint64_t& si_executions, std::vector<LatencySegment>& segments);
 
-/// Replays `trace` against `backend`. `stats` is optional. Both modes yield
-/// bit-exact identical SimResult and SimStats (tests/replay_equivalence_test
-/// asserts this across every backend).
+/// Replays `trace` against `backend`. `stats` is optional. The mode picks
+/// only the per-instance body; both yield bit-exact identical SimResult and
+/// SimStats (tests/replay_equivalence_test asserts this across every
+/// backend).
 SimResult run_trace(const WorkloadTrace& trace, ExecutionBackend& backend,
                     SimStats* stats = nullptr, ReplayMode mode = ReplayMode::kBatched);
 

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <mutex>
 #include <ostream>
 #include <system_error>
 
@@ -18,81 +21,107 @@ namespace rispp {
 namespace {
 
 // Format v1 ("RTRC") serialized executions only and rebuilt the run form on
-// every load. v2 appends each instance's RLE runs so warm loads skip
-// build_runs(); the magic itself changed so a v1 file can never be misparsed
-// as v2 (a version field after the old magic could collide with v1's
-// hot-spot count).
+// every load; v2 stored the executions and their runs side by side. v3
+// stores only the runs and ends with a content checksum. Each format has its
+// own magic, so an older file can never be misparsed as a newer one.
 constexpr std::uint32_t kMagicV1 = 0x52545243;  // "RTRC"
-constexpr std::uint32_t kMagic = 0x32545243;    // v2: serialized runs
+constexpr std::uint32_t kMagicV2 = 0x32545243;
+constexpr std::uint32_t kMagic = 0x33545243;  // v3: runs only, checksummed
+
+constexpr std::size_t kRunBytes = sizeof(SiId) + sizeof(std::uint32_t);
+
+// A replay's clock is the trace's base-processor overhead plus one SI latency
+// per execution. Bounding both keeps it far below 2^64 for any latency under
+// 2^21 cycles, so simulated time never wraps (a wrapped clock stalls the
+// window replay).
+constexpr Cycles kMaxOverheadCycles = Cycles{1} << 62;
+constexpr std::uint64_t kMaxExecutions = std::uint64_t{1} << 40;
 
 template <typename T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
+void put(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-void put_string(std::ostream& os, const std::string& s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+void put_string(std::string& out, const std::string& s) {
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
+  out.append(s);
 }
 
-/// Reads a trace stream while tracking the bytes left in it, so every
-/// length field is checked against what the stream can still hold before
-/// anything is allocated for it. A stream that cannot seek reports no
-/// bound; its reads still fail on truncation.
+/// Reads the whole of `is`.
+std::string read_all(std::istream& is) {
+  std::string bytes;
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof chunk) || is.gcount() > 0)
+    bytes.append(chunk, static_cast<std::size_t>(is.gcount()));
+  return bytes;
+}
+
+/// A cursor over a trace's bytes that checks every read, and every length
+/// field, against the bytes left before anything is allocated for it.
 class Reader {
  public:
-  explicit Reader(std::istream& is) : is_(is) {
-    const auto here = is.tellg();
-    if (here == std::istream::pos_type(-1)) return;
-    is.seekg(0, std::ios::end);
-    const auto end = is.tellg();
-    is.seekg(here);
-    if (end != std::istream::pos_type(-1) && is.good())
-      left_ = static_cast<std::uint64_t>(end - here);
-    else
-      is.clear();
-  }
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
   template <typename T>
   T get() {
-    T v{};
-    read(&v, sizeof v);
+    RISPP_CHECK_MSG(left() >= sizeof(T), "truncated trace stream");
+    T v;
+    std::memcpy(&v, bytes_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
     return v;
   }
 
+  std::size_t left() const { return bytes_.size() - pos_; }
+
   /// Whether `count` elements of at least `min_bytes` each can still follow.
   bool fits(std::uint64_t count, std::size_t min_bytes) const {
-    return count <= left_ / min_bytes;
+    return count <= left() / min_bytes;
   }
 
   /// A 64-bit length field whose elements take at least `min_bytes` each.
   std::uint64_t get_length(std::size_t min_bytes) {
     const auto n = get<std::uint64_t>();
     RISPP_CHECK_MSG(fits(n, min_bytes),
-                    "trace length field " << n << " exceeds the " << left_ << " bytes left");
+                    "trace length field " << n << " exceeds the " << left() << " bytes left");
     return n;
   }
 
   std::string get_string() {
     const auto n = get<std::uint32_t>();
-    RISPP_CHECK_MSG(n <= left_, "trace string length " << n << " exceeds the stream");
-    std::string s(n, '\0');
-    read(s.data(), n);
+    RISPP_CHECK_MSG(n <= left(), "trace string length " << n << " exceeds the stream");
+    std::string s(bytes_.substr(pos_, n));
+    pos_ += n;
     return s;
   }
 
-  void read(void* out, std::uint64_t bytes) {
-    is_.read(static_cast<char*>(out), static_cast<std::streamsize>(bytes));
-    RISPP_CHECK_MSG(is_.good(), "truncated trace stream");
-    left_ -= std::min(left_, bytes);
-  }
-
  private:
-  std::istream& is_;
-  std::uint64_t left_ = std::numeric_limits<std::uint64_t>::max();
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
 };
 
 }  // namespace
+
+std::uint64_t trace_checksum(std::string_view bytes) {
+  // Per 8-byte word: xor, multiply by an odd constant, xor-shift. Each step
+  // is a bijection of the running state, so changing any one word changes
+  // the result; the length is folded in last.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes.data() + i, 8);
+    mix(word);
+  }
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
+  mix(tail);
+  mix(bytes.size());
+  return h;
+}
 
 RunIndex build_run_index(const std::vector<SiRun>& runs, const std::vector<SiId>& sis) {
   constexpr std::size_t kBlock = RunIndex::kBlockRuns;
@@ -119,10 +148,33 @@ RunIndex build_run_index(const std::vector<SiRun>& runs, const std::vector<SiId>
   return index;
 }
 
+HotSpotInstance::HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions,
+                                 Cycles entry)
+    : hot_spot(hs), entry_overhead(entry) {
+  for (auto it = executions.begin(); it != executions.end();) {
+    const SiId si = *it;
+    const auto end = std::find_if(it, executions.end(), [si](SiId s) { return s != si; });
+    append(si, static_cast<std::uint64_t>(end - it));
+    it = end;
+  }
+}
+
+void HotSpotInstance::append(SiId si, std::uint64_t count) {
+  constexpr std::uint32_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+  execution_count_ += count;
+  while (count > 0) {
+    if (runs.empty() || runs.back().si != si || runs.back().count == kMaxCount)
+      runs.push_back(SiRun{si, 0});
+    const auto take = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(count, kMaxCount - runs.back().count));
+    runs.back().count += take;
+    count -= take;
+  }
+}
+
 std::size_t WorkloadTrace::total_si_executions() const {
-  if (runs_built_) return static_cast<std::size_t>(total_executions_);
   std::size_t n = 0;
-  for (const auto& inst : instances) n += inst.executions.size();
+  for (const auto& inst : instances) n += inst.execution_count();
   return n;
 }
 
@@ -130,85 +182,69 @@ Cycles WorkloadTrace::overhead_cycles() const {
   Cycles total = 0;
   for (const auto& inst : instances)
     total += inst.entry_overhead +
-             hot_spots[inst.hot_spot].per_execution_overhead * inst.executions.size();
+             hot_spots[inst.hot_spot].per_execution_overhead * inst.execution_count();
   return total;
 }
 
 std::uint64_t WorkloadTrace::executions_of(SiId si) const {
-  if (runs_built_) return si < executions_per_si_.size() ? executions_per_si_[si] : 0;
-  std::uint64_t n = 0;
-  for (const auto& inst : instances)
-    for (SiId s : inst.executions)
-      if (s == si) ++n;
-  return n;
+  return si < executions_per_si_.size() ? executions_per_si_[si] : 0;
 }
 
-void WorkloadTrace::build_runs() {
-  total_executions_ = 0;
+void WorkloadTrace::index_runs() {
   executions_per_si_.clear();
   for (auto& inst : instances) {
-    inst.runs.clear();
-    for (SiId si : inst.executions) {
-      if (!inst.runs.empty() && inst.runs.back().si == si)
-        ++inst.runs.back().count;
-      else
-        inst.runs.push_back(SiRun{si, 1});
-      if (si >= executions_per_si_.size()) executions_per_si_.resize(si + 1, 0);
-      ++executions_per_si_[si];
+    for (const SiRun& run : inst.runs) {
+      if (run.si >= executions_per_si_.size()) executions_per_si_.resize(run.si + 1, 0);
+      executions_per_si_[run.si] += run.count;
     }
-    total_executions_ += inst.executions.size();
     inst.run_index = build_run_index(inst.runs, hot_spots[inst.hot_spot].sis);
   }
-  runs_built_ = true;
 }
 
 void WorkloadTrace::save(std::ostream& os) const {
-  put(os, kMagic);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(hot_spots.size()));
+  std::string out;
+  put(out, kMagic);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(hot_spots.size()));
   for (const auto& hs : hot_spots) {
-    put_string(os, hs.name);
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(hs.sis.size()));
-    for (SiId si : hs.sis) put(os, si);
-    put(os, hs.per_execution_overhead);
+    put_string(out, hs.name);
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(hs.sis.size()));
+    for (SiId si : hs.sis) put(out, si);
+    put(out, hs.per_execution_overhead);
   }
-  put<std::uint64_t>(os, instances.size());
+  put<std::uint64_t>(out, instances.size());
   for (const auto& inst : instances) {
-    put(os, inst.hot_spot);
-    put(os, inst.entry_overhead);
-    put<std::uint64_t>(os, inst.executions.size());
-    os.write(reinterpret_cast<const char*>(inst.executions.data()),
-             static_cast<std::streamsize>(inst.executions.size() * sizeof(SiId)));
-    // The instance's run form; encoded on the fly when build_runs() hasn't
-    // been called, so every v2 file carries runs.
-    std::vector<SiRun> local;
-    const std::vector<SiRun>* runs = &inst.runs;
-    if (runs->empty() && !inst.executions.empty()) {
-      for (SiId si : inst.executions) {
-        if (!local.empty() && local.back().si == si)
-          ++local.back().count;
-        else
-          local.push_back(SiRun{si, 1});
-      }
-      runs = &local;
-    }
-    put<std::uint64_t>(os, runs->size());
-    for (const SiRun& run : *runs) {
-      put(os, run.si);
-      put(os, run.count);
+    put(out, inst.hot_spot);
+    put(out, inst.entry_overhead);
+    put<std::uint64_t>(out, inst.runs.size());
+    for (const SiRun& run : inst.runs) {
+      put(out, run.si);
+      put(out, run.count);
     }
   }
+  put(out, trace_checksum(out));
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 WorkloadTrace WorkloadTrace::load(std::istream& is) {
-  Reader in(is);
-  const auto magic = in.get<std::uint32_t>();
-  RISPP_CHECK_MSG(magic != kMagicV1,
-                  "trace format v1 (runs not serialized) — delete the file and regenerate");
+  const std::string bytes = read_all(is);
+  Reader magic_reader(bytes);
+  const auto magic = magic_reader.get<std::uint32_t>();
+  RISPP_CHECK_MSG(magic != kMagicV1 && magic != kMagicV2,
+                  "trace format v" << (magic == kMagicV1 ? 1 : 2)
+                                   << " (superseded by v3) — delete the file and regenerate");
   RISPP_CHECK_MSG(magic == kMagic, "not a RISPP trace");
+  RISPP_CHECK_MSG(bytes.size() >= sizeof magic + sizeof(std::uint64_t),
+                  "truncated trace stream");
+  const std::string_view body(bytes.data(), bytes.size() - sizeof(std::uint64_t));
+  std::uint64_t checksum;
+  std::memcpy(&checksum, bytes.data() + body.size(), sizeof checksum);
+  RISPP_CHECK_MSG(checksum == trace_checksum(body), "trace checksum mismatch");
+
+  Reader in(body.substr(sizeof magic));
   WorkloadTrace trace;
   // Minimum serialized sizes bound the counts: a hot spot is a name length,
-  // an SI count and an overhead; an instance is its id, overhead and two
-  // length fields.
+  // an SI count and an overhead; an instance is its id, overhead and run
+  // count.
   const auto hs_count = in.get<std::uint32_t>();
   RISPP_CHECK_MSG(in.fits(hs_count, 4 + 4 + sizeof(Cycles)),
                   "trace hot-spot count exceeds the stream");
@@ -226,45 +262,38 @@ WorkloadTrace WorkloadTrace::load(std::istream& is) {
     std::sort(sorted_sis[h].begin(), sorted_sis[h].end());
   }
   const auto inst_count =
-      in.get_length(sizeof(HotSpotId) + sizeof(Cycles) + 2 * sizeof(std::uint64_t));
+      in.get_length(sizeof(HotSpotId) + sizeof(Cycles) + sizeof(std::uint64_t));
   trace.instances.resize(inst_count);
+  std::uint64_t executions = 0;
+  Cycles overhead = 0;
   for (auto& inst : trace.instances) {
     inst.hot_spot = in.get<HotSpotId>();
-    RISPP_CHECK(inst.hot_spot < trace.hot_spots.size());
+    RISPP_CHECK_MSG(inst.hot_spot < trace.hot_spots.size(),
+                    "trace instance of hot spot " << inst.hot_spot << " out of range");
     const std::vector<SiId>& sorted = sorted_sis[inst.hot_spot];
     inst.entry_overhead = in.get<Cycles>();
-    const auto n = in.get_length(sizeof(SiId));
-    inst.executions.resize(n);
-    in.read(inst.executions.data(), n * sizeof(SiId));
-    const auto run_count = in.get_length(sizeof(SiId) + sizeof(std::uint32_t));
-    inst.runs.resize(run_count);
-    std::uint64_t run_total = 0;
-    for (auto& run : inst.runs) {
-      run.si = in.get<SiId>();
-      run.count = in.get<std::uint32_t>();
-      RISPP_CHECK_MSG(run.count > 0, "empty run in trace");
-      RISPP_CHECK_MSG(std::binary_search(sorted.begin(), sorted.end(), run.si),
-                      "trace run of SI " << run.si << " outside its hot spot's SI list");
-      RISPP_CHECK_MSG(run.count <= n - run_total,
-                      "trace runs inconsistent with execution count");
-      // The run must replay exactly the executions it covers. Branch-free so
-      // the compare vectorizes; it runs over every execution of the trace.
-      const SiId* span = inst.executions.data() + run_total;
-      unsigned mismatch = 0;
-      for (std::uint32_t k = 0; k < run.count; ++k) mismatch |= span[k] ^ run.si;
-      RISPP_CHECK_MSG(mismatch == 0, "trace run of SI " << run.si
-                                         << " disagrees with the executions it covers");
-      run_total += run.count;
-      // Totals come from the runs, so the rebuild scan is skipped entirely.
-      if (run.si >= trace.executions_per_si_.size())
-        trace.executions_per_si_.resize(run.si + 1, 0);
-      trace.executions_per_si_[run.si] += run.count;
+    const auto run_count = in.get_length(kRunBytes);
+    inst.runs.reserve(run_count);
+    for (std::uint64_t r = 0; r < run_count; ++r) {
+      const auto si = in.get<SiId>();
+      const auto count = in.get<std::uint32_t>();
+      RISPP_CHECK_MSG(count > 0, "empty run in trace");
+      RISPP_CHECK_MSG(std::binary_search(sorted.begin(), sorted.end(), si),
+                      "trace run of SI " << si << " outside its hot spot's SI list");
+      inst.append(si, count);
     }
-    RISPP_CHECK_MSG(run_total == n, "trace runs inconsistent with execution count");
-    inst.run_index = build_run_index(inst.runs, trace.hot_spots[inst.hot_spot].sis);
-    trace.total_executions_ += n;
+    executions += inst.execution_count();
+    Cycles glue = 0;
+    const bool wraps =
+        __builtin_mul_overflow(trace.hot_spots[inst.hot_spot].per_execution_overhead,
+                               inst.execution_count(), &glue) ||
+        __builtin_add_overflow(overhead, glue, &overhead) ||
+        __builtin_add_overflow(overhead, inst.entry_overhead, &overhead);
+    RISPP_CHECK_MSG(!wraps && overhead <= kMaxOverheadCycles && executions <= kMaxExecutions,
+                    "trace overheads or execution counts overflow simulated time");
   }
-  trace.runs_built_ = true;
+  RISPP_CHECK_MSG(in.left() == 0, "trailing bytes after the trace");
+  trace.index_runs();
   return trace;
 }
 
@@ -281,20 +310,27 @@ void save_trace_file(const WorkloadTrace& trace, const std::filesystem::path& pa
   static std::atomic<unsigned> counter{0};
   const std::filesystem::path tmp = path.string() + "." + std::to_string(::getpid()) +
                                     "." + std::to_string(counter.fetch_add(1)) + ".tmp";
+  std::error_code ec;
+  if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path(), ec);
+  bool written = false;
   {
     std::ofstream out(tmp, std::ios::binary);
-    if (!out.good()) return;
-    trace.save(out);
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return;
+    if (out.good()) {
+      trace.save(out);
+      written = out.good();
     }
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  if (written) {
+    std::filesystem::rename(tmp, path, ec);
+    written = !ec;
+  }
+  if (written) return;
+  std::filesystem::remove(tmp, ec);
+  static std::once_flag reported;
+  std::call_once(reported, [&path] {
+    std::fprintf(stderr, "[trace] cannot write %s: trace caching is off\n",
+                 path.string().c_str());
+  });
 }
 
 std::optional<WorkloadTrace> try_load_trace_file(const std::filesystem::path& path) {

@@ -8,9 +8,11 @@
 // record-replay methodology as the paper's simulation toolchain.
 //
 // Real SI streams are extremely repetitive (motion estimation issues tens of
-// thousands of consecutive SADs), so each instance also carries a run-length
-// encoded view of its executions. The batched replay path (sim/executor.h)
-// consumes whole runs at once instead of one virtual call per execution.
+// thousands of consecutive SADs), so an instance records its SI stream only
+// as maximal runs of identical executions, in memory and on disk. Generators
+// append executions through HotSpotInstance::append, which coalesces them;
+// the batched replay path (sim/executor.h) consumes whole runs at once, and
+// the scalar reference expands each run into one call per execution.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/types.h"
@@ -25,13 +28,15 @@
 
 namespace rispp {
 
-/// A maximal run of consecutive identical SI executions.
+/// A run of consecutive identical SI executions.
 struct SiRun {
   SiId si = 0;
   std::uint32_t count = 0;
+
+  friend bool operator==(const SiRun&, const SiRun&) = default;
 };
 
-/// Block index over one instance's runs, derived by build_runs() and load()
+/// Block index over one instance's runs, derived by index_runs() and load()
 /// and never serialized. Slot j stands for the hot spot's `sis[j]`. Runs are
 /// grouped in blocks of kBlockRuns; per block boundary the index keeps each
 /// slot's execution count so far, and per block which slots occur in it. A
@@ -62,21 +67,32 @@ RunIndex build_run_index(const std::vector<SiRun>& runs, const std::vector<SiId>
 
 struct HotSpotInstance {
   HotSpotInstance() = default;
-  HotSpotInstance(HotSpotId hs, std::vector<SiId> execs, Cycles entry)
-      : hot_spot(hs), executions(std::move(execs)), entry_overhead(entry) {}
+  HotSpotInstance(HotSpotId hs, Cycles entry) : hot_spot(hs), entry_overhead(entry) {}
+  /// An instance whose SI executions, in program order, are `executions`.
+  HotSpotInstance(HotSpotId hs, const std::vector<SiId>& executions, Cycles entry);
+
+  /// Appends `count` executions of `si` after the instance's last one. The
+  /// one place executions become runs: a run of the same SI is extended, so
+  /// runs built only through append() are maximal (no two adjacent runs
+  /// share an SI) unless one run would exceed 2^32 - 1 executions.
+  void append(SiId si, std::uint64_t count = 1);
+  /// SI executions in the instance: the sum of its run counts.
+  std::uint64_t execution_count() const { return execution_count_; }
 
   HotSpotId hot_spot = 0;
-  /// SI executions in program order.
-  std::vector<SiId> executions;
   /// Base-processor cycles spent entering the hot spot (control code, cache
   /// warmup) before the first SI.
   Cycles entry_overhead = 0;
-  /// Run-length encoding of `executions` (consecutive identical SIs
-  /// coalesced). Empty until WorkloadTrace::build_runs(); the batched
-  /// executor falls back to an on-the-fly encoding when empty.
+  /// The instance's SI executions in program order, as runs of consecutive
+  /// identical SIs. Extend it through append() only, which keeps
+  /// execution_count() in step.
   std::vector<SiRun> runs;
-  /// Block index over `runs`; empty until build_runs() or load().
+  /// Block index over `runs`; empty until WorkloadTrace::index_runs() or
+  /// load().
   RunIndex run_index;
+
+ private:
+  std::uint64_t execution_count_ = 0;
 };
 
 struct HotSpotInfo {
@@ -92,7 +108,8 @@ struct WorkloadTrace {
   std::vector<HotSpotInstance> instances;
 
   std::size_t total_si_executions() const;
-  /// Executions of one SI across the whole trace.
+  /// Executions of one SI across the whole trace; counted by index_runs()
+  /// and load().
   std::uint64_t executions_of(SiId si) const;
 
   /// Base-processor cycles the replay spends outside SI latencies: every
@@ -102,40 +119,44 @@ struct WorkloadTrace {
   /// lower bound on any backend's total — the DSE early-abandon bound.
   Cycles overhead_cycles() const;
 
-  /// Builds the per-instance run forms and their run indexes, and caches
-  /// per-SI execution totals so total_si_executions()/executions_of() stop
-  /// rescanning instances.
-  /// Idempotent; re-call after mutating `instances`. Sweeps share one const
-  /// trace across threads, so build the runs once before fanning out —
-  /// load() and the workload generators already do.
-  void build_runs();
-  bool runs_built() const { return runs_built_; }
+  /// Derives each instance's run index and the per-SI execution totals
+  /// executions_of() reads. Idempotent; re-call after mutating `instances`.
+  /// Sweeps share one const trace across threads, so index once before
+  /// fanning out — load() and the workload generators already do.
+  void index_runs();
 
   /// Compact binary serialization (cache for expensive workload generation).
-  /// Format v2 stores each instance's run form next to its executions, so
-  /// load() validates and adopts the runs instead of rebuilding them; a v1
-  /// file (pre-runs magic) is rejected with a clear regenerate message.
-  /// load() fails closed (RISPP_CHECK) on a run whose SI is not in its hot
-  /// spot's `sis`, on an empty run, and on any length field larger than the
-  /// bytes left in a seekable stream, before allocating for it.
+  /// Format v3 stores each instance's hot spot, entry overhead and runs, and
+  /// ends with a 64-bit trace_checksum() of every byte before it. Files of
+  /// format v1 or v2 (which stored executions too) are rejected with a
+  /// regenerate message. load() fails closed (RISPP_CHECK) on a checksum
+  /// mismatch, an empty run, a run whose SI is not in its hot spot's `sis`,
+  /// an out-of-range hot spot, trailing bytes, overheads or execution counts
+  /// that could wrap simulated time, and on any length field larger than the
+  /// bytes left, before allocating for it.
   void save(std::ostream& os) const;
   static WorkloadTrace load(std::istream& is);
 
  private:
-  std::vector<std::uint64_t> executions_per_si_;  // cached totals, by SiId
-  std::uint64_t total_executions_ = 0;
-  bool runs_built_ = false;
+  std::vector<std::uint64_t> executions_per_si_;  // by SiId, from index_runs()
 };
+
+/// The 64-bit content checksum a v3 trace file ends with, over `bytes` (the
+/// whole file before the checksum). A change to any single 8-byte word of
+/// the input always changes it.
+std::uint64_t trace_checksum(std::string_view bytes);
 
 /// Directory recorded-trace cache files live in: $RISPP_TRACE_DIR, or the
 /// system temp directory when unset. Shared by the bench harness and the
 /// fleet's TraceRepository so one warm cache serves both.
 std::filesystem::path trace_cache_dir();
 
-/// Atomically persists `trace` at `path`: writes a pid-and-counter-unique
-/// temp file and renames it into place, so a concurrent reader never sees a
-/// partial trace. Best-effort — unwritable paths are silently skipped (the
-/// cache is an optimization, never a correctness dependency).
+/// Atomically persists `trace` at `path`: creates the parent directory, writes
+/// a pid-and-counter-unique temp file and renames it into place, so a
+/// concurrent reader never sees a partial trace. A path that still cannot be
+/// written is skipped, since the cache is an optimization and never a
+/// correctness dependency, but the first such failure in a process prints
+/// one stderr line saying that trace caching is off.
 void save_trace_file(const WorkloadTrace& trace, const std::filesystem::path& path);
 
 /// Loads the trace cached at `path`; nullopt when the file is missing or

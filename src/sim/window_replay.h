@@ -16,8 +16,8 @@
 // (sim/trace.h): inside a window it scans runs one by one only in the
 // partial blocks at the window's two edges and crosses every whole block in
 // between with O(k) prefix-count arithmetic, k being the hot spot's SI
-// count. Any other run array (a copy, an on-the-fly encoding) has no blocks
-// to skip and goes through the same loop run by run. Both are bit-exact with
+// count. Any other run array (a copy, for example) has no blocks to skip
+// and goes through the same loop run by run. Both are bit-exact with
 // scalar replay (tests/replay_equivalence_test.cpp).
 #pragma once
 

@@ -38,9 +38,8 @@ WorkloadTrace two_si_trace(const SpecialInstructionSet& set, int executions) {
   const SiId satd = set.find("SATD").value();
   WorkloadTrace trace;
   trace.hot_spots = {HotSpotInfo{"ME", {sad, satd}, 8}};
-  HotSpotInstance inst{0, {}, 1000};
-  for (int i = 0; i < executions; ++i)
-    inst.executions.push_back(i % 8 == 7 ? satd : sad);
+  HotSpotInstance inst{0, 1000};
+  for (int i = 0; i < executions; ++i) inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
   return trace;
 }
@@ -164,12 +163,13 @@ RandomWorkload random_workload(const SpecialInstructionSet& set, std::uint64_t s
     inst.hot_spot = static_cast<HotSpotId>(rng.bounded(hot_spots));
     inst.entry_overhead = rng.bounded(2000);
     const std::vector<SiId>& sis = w.trace.hot_spots[inst.hot_spot].sis;
-    for (int r = 0; r < 60; ++r)
-      inst.executions.insert(inst.executions.end(), 1 + rng.bounded(3000),
-                             sis[rng.bounded(sis.size())]);
+    for (int r = 0; r < 60; ++r) {
+      const SiId si = sis[rng.bounded(sis.size())];
+      inst.append(si, 1 + rng.bounded(3000));
+    }
     w.trace.instances.push_back(std::move(inst));
   }
-  w.trace.build_runs();
+  w.trace.index_runs();
   return w;
 }
 

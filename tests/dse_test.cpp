@@ -55,11 +55,10 @@ WorkloadTrace small_trace(const SpecialInstructionSet& set) {
     inst.entry_overhead = 500 + rng.bounded(500);
     const std::vector<SiId>& sis = trace.hot_spots[inst.hot_spot].sis;
     const int executions = 40 + static_cast<int>(rng.bounded(60));
-    for (int e = 0; e < executions; ++e)
-      inst.executions.push_back(sis[rng.bounded(sis.size())]);
+    for (int e = 0; e < executions; ++e) inst.append(sis[rng.bounded(sis.size())]);
     trace.instances.push_back(std::move(inst));
   }
-  trace.build_runs();
+  trace.index_runs();
   return trace;
 }
 

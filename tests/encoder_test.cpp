@@ -49,9 +49,9 @@ TEST(Encoder, TraceContainsOnlyHotSpotSis) {
   const auto result = generate_h264_workload(set, small_config(4));
   for (const auto& inst : result.trace.instances) {
     const auto& allowed = result.trace.hot_spots[inst.hot_spot].sis;
-    for (SiId si : inst.executions)
-      EXPECT_NE(std::find(allowed.begin(), allowed.end(), si), allowed.end())
-          << "SI " << si << " in hot spot " << result.trace.hot_spots[inst.hot_spot].name;
+    for (const SiRun& run : inst.runs)
+      EXPECT_NE(std::find(allowed.begin(), allowed.end(), run.si), allowed.end())
+          << "SI " << run.si << " in hot spot " << result.trace.hot_spots[inst.hot_spot].name;
   }
 }
 
@@ -61,7 +61,7 @@ TEST(Encoder, DeterministicTraces) {
   const auto b = generate_h264_workload(set, small_config(4));
   ASSERT_EQ(a.trace.instances.size(), b.trace.instances.size());
   for (std::size_t i = 0; i < a.trace.instances.size(); ++i)
-    EXPECT_EQ(a.trace.instances[i].executions, b.trace.instances[i].executions);
+    EXPECT_EQ(a.trace.instances[i].runs, b.trace.instances[i].runs);
 }
 
 TEST(Encoder, MotionPhaseModulatesSearchEffort) {
@@ -70,7 +70,7 @@ TEST(Encoder, MotionPhaseModulatesSearchEffort) {
   const auto result = generate_h264_workload(set, small_config(12));
   std::vector<std::size_t> me_counts;
   for (const auto& inst : result.trace.instances)
-    if (inst.hot_spot == kHotSpotMe) me_counts.push_back(inst.executions.size());
+    if (inst.hot_spot == kHotSpotMe) me_counts.push_back(inst.execution_count());
   ASSERT_GE(me_counts.size(), 5u);
   const auto [min_it, max_it] = std::minmax_element(me_counts.begin(), me_counts.end());
   EXPECT_GT(*max_it, *min_it);
@@ -89,7 +89,7 @@ TEST(Encoder, WavefrontDeterminism) {
   const auto reference = generate_h264_workload(set, config);
   std::size_t reference_lf_executions = 0;
   for (const auto& inst : reference.trace.instances)
-    if (inst.hot_spot == kHotSpotLf) reference_lf_executions += inst.executions.size();
+    if (inst.hot_spot == kHotSpotLf) reference_lf_executions += inst.execution_count();
   EXPECT_GT(reference_lf_executions, 0u)
       << "workload exercises no deblocking; the LF wavefront is untested";
   for (int threads : {2, 3, 8, 16}) {
@@ -106,8 +106,8 @@ TEST(Encoder, WavefrontDeterminism) {
       EXPECT_EQ(parallel.trace.instances[i].hot_spot,
                 reference.trace.instances[i].hot_spot)
           << threads << " threads, instance " << i;
-      EXPECT_EQ(parallel.trace.instances[i].executions,
-                reference.trace.instances[i].executions)
+      // Runs are maximal, so equal runs mean equal SI streams.
+      EXPECT_EQ(parallel.trace.instances[i].runs, reference.trace.instances[i].runs)
           << threads << " threads, instance " << i;
     }
   }
@@ -127,7 +127,7 @@ TEST(Encoder, WavefrontDeterministicAcrossKernelBackends) {
   EXPECT_EQ(scalar.mean_psnr, simd.mean_psnr);
   ASSERT_EQ(scalar.trace.instances.size(), simd.trace.instances.size());
   for (std::size_t i = 0; i < scalar.trace.instances.size(); ++i)
-    EXPECT_EQ(scalar.trace.instances[i].executions, simd.trace.instances[i].executions)
+    EXPECT_EQ(scalar.trace.instances[i].runs, simd.trace.instances[i].runs)
         << "instance " << i;
 }
 
@@ -140,7 +140,7 @@ TEST(Workload, CifMeCountsNearPaperProfile) {
   const auto result = generate_h264_workload(set, config);
   std::vector<std::size_t> me_counts;
   for (const auto& inst : result.trace.instances)
-    if (inst.hot_spot == kHotSpotMe) me_counts.push_back(inst.executions.size());
+    if (inst.hot_spot == kHotSpotMe) me_counts.push_back(inst.execution_count());
   ASSERT_EQ(me_counts.size(), 2u);
   for (std::size_t c : me_counts) {
     EXPECT_GT(c, 20'000u);

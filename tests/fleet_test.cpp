@@ -338,8 +338,8 @@ TEST(Fleet, TraceRepositoryRegeneratesTracesWithOutOfRangeSiIds) {
     const std::size_t si_count = TraceRepository().get(spec).set.si_count();
 
     // Move one SI of the written cache file out of range, consistently in
-    // the hot-spot list, the executions and the runs, so every check of
-    // WorkloadTrace::load itself still passes.
+    // the hot-spot list and the runs, so every check of WorkloadTrace::load
+    // itself still passes.
     fs::path file;
     for (const fs::directory_entry& e : fs::directory_iterator(dir))
       if (e.path().extension() == ".rtrc" &&
@@ -352,11 +352,9 @@ TEST(Fleet, TraceRepositoryRegeneratesTracesWithOutOfRangeSiIds) {
     const auto bad_id = static_cast<SiId>(si_count + 7);
     for (HotSpotInfo& hs : bad.hot_spots)
       std::replace(hs.sis.begin(), hs.sis.end(), victim, bad_id);
-    for (HotSpotInstance& inst : bad.instances) {
-      std::replace(inst.executions.begin(), inst.executions.end(), victim, bad_id);
+    for (HotSpotInstance& inst : bad.instances)
       for (SiRun& run : inst.runs)
         if (run.si == victim) run.si = bad_id;
-    }
     save_trace_file(bad, file);
     ASSERT_TRUE(try_load_trace_file(file).has_value());
     EXPECT_FALSE(try_load_trace_file(file, si_count).has_value());

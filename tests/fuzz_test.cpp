@@ -70,8 +70,7 @@ RandomPlatform make_random_platform(std::uint64_t seed) {
     inst.entry_overhead = rng.bounded(3000);
     const auto& sis = platform.trace.hot_spots[inst.hot_spot].sis;
     const std::size_t execs = 50 + rng.bounded(4000);
-    for (std::size_t k = 0; k < execs; ++k)
-      inst.executions.push_back(sis[rng.bounded(sis.size())]);
+    for (std::size_t k = 0; k < execs; ++k) inst.append(sis[rng.bounded(sis.size())]);
     platform.trace.instances.push_back(std::move(inst));
   }
   platform.set = std::move(set);

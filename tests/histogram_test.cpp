@@ -275,9 +275,9 @@ TEST(FlightRecorder, RecorderNeverChangesSimulationResults) {
   HotSpotInstance inst;
   inst.hot_spot = 0;
   inst.entry_overhead = 1000;
-  for (int i = 0; i < 12'000; ++i) inst.executions.push_back(i % 8 == 7 ? satd : sad);
+  for (int i = 0; i < 12'000; ++i) inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
-  trace.build_runs();
+  trace.index_runs();
 
   const auto run_once = [&]() {
     auto sched = make_scheduler("HEF");

@@ -355,19 +355,23 @@ TEST_F(ReplayEquivalenceFixture, JpegStaticAsipBaseline) {
                     "jpeg:StaticASIP");
 }
 
-// The RLE run form must cover exactly the execution sequence it encodes.
-TEST_F(ReplayEquivalenceFixture, TraceRunsMatchExecutions) {
-  ASSERT_TRUE(trace_->runs_built());
-  for (const HotSpotInstance& inst : trace_->instances) {
-    std::vector<SiId> expanded;
-    for (const SiRun& run : inst.runs) {
-      ASSERT_GT(run.count, 0u);
-      for (std::uint32_t i = 0; i < run.count; ++i) expanded.push_back(run.si);
+// The runs are the trace's only record of each SI stream, and they are
+// maximal: nonempty, no two adjacent runs of one SI, and their counts sum to
+// the instance's execution count. Maximal RLE is canonical, so two traces
+// with equal runs replay equal SI streams.
+TEST_F(ReplayEquivalenceFixture, TraceRunsAreMaximal) {
+  for (const WorkloadTrace* trace : {trace_, jpeg_trace_}) {
+    for (const HotSpotInstance& inst : trace->instances) {
+      std::uint64_t executions = 0;
+      for (std::size_t i = 0; i < inst.runs.size(); ++i) {
+        ASSERT_GT(inst.runs[i].count, 0u);
+        if (i > 0) {
+          EXPECT_NE(inst.runs[i - 1].si, inst.runs[i].si);
+        }
+        executions += inst.runs[i].count;
+      }
+      EXPECT_EQ(executions, inst.execution_count());
     }
-    ASSERT_EQ(expanded, inst.executions);
-    // Adjacent runs were coalesced: no two consecutive runs share an SI.
-    for (std::size_t i = 1; i < inst.runs.size(); ++i)
-      EXPECT_NE(inst.runs[i - 1].si, inst.runs[i].si);
   }
 }
 
@@ -407,11 +411,11 @@ WorkloadTrace random_trace(std::uint64_t seed, std::size_t si_count,
       const std::uint64_t roll = rng.bounded(10);
       const std::uint64_t count =
           roll < 4 ? 1 : roll < 8 ? 2 + rng.bounded(8) : 20 + rng.bounded(400);
-      inst.executions.insert(inst.executions.end(), count, sis[pick]);
+      inst.append(sis[pick], count);
     }
     trace.instances.push_back(std::move(inst));
   }
-  trace.build_runs();
+  trace.index_runs();
   return trace;
 }
 
@@ -428,7 +432,9 @@ Cycles replay_through(const WorkloadTrace& trace, std::size_t idx, ExecutionBack
   backend.on_hot_spot_entry(trace, idx, now);
   switch (path) {
     case Path::kScalar:
-      for (const SiId si : inst.executions) now += backend.si_execution_latency(si, now) + overhead;
+      for (const SiRun& run : inst.runs)
+        for (std::uint32_t k = 0; k < run.count; ++k)
+          now += backend.si_execution_latency(run.si, now) + overhead;
       break;
     case Path::kRuns: {
       std::vector<LatencySegment> segments;

@@ -1,8 +1,13 @@
 // Tests for traces, the cycle-level executor and bucketed statistics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "baselines/software_only.h"
 #include "h264/workload.h"
@@ -23,6 +28,7 @@ WorkloadTrace tiny_trace() {
       HotSpotInstance{0, {0, 1, 0}, 100},
       HotSpotInstance{1, {1, 1}, 50},
   };
+  trace.index_runs();
   return trace;
 }
 
@@ -93,18 +99,59 @@ TEST(Trace, TotalsAndPerSiCounts) {
   EXPECT_EQ(trace.executions_of(7), 0u);
 }
 
+std::string saved(const WorkloadTrace& trace) {
+  std::ostringstream os;
+  trace.save(os);
+  return os.str();
+}
+
+WorkloadTrace loaded(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return WorkloadTrace::load(is);
+}
+
+/// The v3 file `bytes` with its trailing checksum replaced by `from`'s, as if
+/// the body of a file sealed as `from` had been corrupted into `bytes`' body.
+std::string with_checksum_of(std::string bytes, const std::string& from) {
+  bytes.replace(bytes.size() - 8, 8, from, from.size() - 8, 8);
+  return bytes;
+}
+
+/// Equal hot spots, runs, run indexes and execution totals.
+void expect_same_trace(const WorkloadTrace& a, const WorkloadTrace& b) {
+  ASSERT_EQ(a.hot_spots.size(), b.hot_spots.size());
+  for (std::size_t h = 0; h < a.hot_spots.size(); ++h) {
+    EXPECT_EQ(a.hot_spots[h].name, b.hot_spots[h].name);
+    EXPECT_EQ(a.hot_spots[h].sis, b.hot_spots[h].sis);
+    EXPECT_EQ(a.hot_spots[h].per_execution_overhead, b.hot_spots[h].per_execution_overhead);
+  }
+  ASSERT_EQ(a.instances.size(), b.instances.size());
+  for (std::size_t i = 0; i < a.instances.size(); ++i) {
+    const HotSpotInstance& x = a.instances[i];
+    const HotSpotInstance& y = b.instances[i];
+    EXPECT_EQ(x.hot_spot, y.hot_spot) << "instance " << i;
+    EXPECT_EQ(x.entry_overhead, y.entry_overhead) << "instance " << i;
+    EXPECT_EQ(x.runs, y.runs) << "instance " << i;
+    EXPECT_EQ(x.execution_count(), y.execution_count()) << "instance " << i;
+    EXPECT_EQ(x.run_index.slots, y.run_index.slots) << "instance " << i;
+    EXPECT_EQ(x.run_index.prefix, y.run_index.prefix) << "instance " << i;
+    EXPECT_EQ(x.run_index.present, y.run_index.present) << "instance " << i;
+  }
+  EXPECT_EQ(a.total_si_executions(), b.total_si_executions());
+  EXPECT_EQ(a.overhead_cycles(), b.overhead_cycles());
+  for (SiId si = 0; si < 64; ++si) EXPECT_EQ(a.executions_of(si), b.executions_of(si));
+}
+
 TEST(Trace, BinaryRoundTrip) {
   const WorkloadTrace trace = tiny_trace();
-  std::stringstream ss;
-  trace.save(ss);
-  const WorkloadTrace loaded = WorkloadTrace::load(ss);
-  ASSERT_EQ(loaded.hot_spots.size(), trace.hot_spots.size());
-  EXPECT_EQ(loaded.hot_spots[0].name, "A");
-  EXPECT_EQ(loaded.hot_spots[0].sis, trace.hot_spots[0].sis);
-  EXPECT_EQ(loaded.hot_spots[1].per_execution_overhead, 3u);
-  ASSERT_EQ(loaded.instances.size(), trace.instances.size());
-  EXPECT_EQ(loaded.instances[0].executions, trace.instances[0].executions);
-  EXPECT_EQ(loaded.instances[1].entry_overhead, 50u);
+  const WorkloadTrace back = loaded(saved(trace));
+  ASSERT_EQ(back.hot_spots.size(), trace.hot_spots.size());
+  EXPECT_EQ(back.hot_spots[0].name, "A");
+  EXPECT_EQ(back.hot_spots[0].sis, trace.hot_spots[0].sis);
+  EXPECT_EQ(back.hot_spots[1].per_execution_overhead, 3u);
+  ASSERT_EQ(back.instances.size(), trace.instances.size());
+  EXPECT_EQ(back.instances[0].runs, trace.instances[0].runs);
+  EXPECT_EQ(back.instances[1].entry_overhead, 50u);
 }
 
 TEST(Trace, RejectsGarbage) {
@@ -114,36 +161,39 @@ TEST(Trace, RejectsGarbage) {
 }
 
 TEST(Trace, RoundTripCarriesRuns) {
-  // v2 serializes the RLE run form: a load never rebuilds it.
-  WorkloadTrace trace = tiny_trace();
-  trace.build_runs();
-  std::stringstream ss;
-  trace.save(ss);
-  const WorkloadTrace loaded = WorkloadTrace::load(ss);
-  EXPECT_TRUE(loaded.runs_built());
-  ASSERT_EQ(loaded.instances.size(), trace.instances.size());
-  for (std::size_t i = 0; i < trace.instances.size(); ++i) {
-    ASSERT_EQ(loaded.instances[i].runs.size(), trace.instances[i].runs.size());
-    for (std::size_t r = 0; r < trace.instances[i].runs.size(); ++r) {
-      EXPECT_EQ(loaded.instances[i].runs[r].si, trace.instances[i].runs[r].si);
-      EXPECT_EQ(loaded.instances[i].runs[r].count, trace.instances[i].runs[r].count);
-    }
-  }
-  EXPECT_EQ(loaded.total_si_executions(), trace.total_si_executions());
-  EXPECT_EQ(loaded.executions_of(0), trace.executions_of(0));
-  EXPECT_EQ(loaded.executions_of(1), trace.executions_of(1));
+  // v3 serializes only the runs; a load restores them, their indexes and the
+  // execution totals.
+  const WorkloadTrace trace = tiny_trace();
+  expect_same_trace(loaded(saved(trace)), trace);
 }
 
 TEST(Trace, SaveEncodesRunsWhenNotBuilt) {
-  // Even a trace saved before build_runs() yields a v2 file with runs.
-  const WorkloadTrace trace = tiny_trace();  // runs never built
-  std::stringstream ss;
-  trace.save(ss);
-  const WorkloadTrace loaded = WorkloadTrace::load(ss);
-  EXPECT_TRUE(loaded.runs_built());
-  ASSERT_EQ(loaded.instances[0].runs.size(), 3u);  // {0},{1},{0}
-  ASSERT_EQ(loaded.instances[1].runs.size(), 1u);  // {1,1} coalesced
-  EXPECT_EQ(loaded.instances[1].runs[0].count, 2u);
+  // A trace whose runs were never indexed still saves every run, and the
+  // load indexes them.
+  WorkloadTrace trace;
+  trace.hot_spots = {HotSpotInfo{"A", {0, 1}, 5}, HotSpotInfo{"B", {1}, 3}};
+  trace.instances = {HotSpotInstance{0, {0, 1, 0}, 100}, HotSpotInstance{1, {1, 1}, 50}};
+  const WorkloadTrace back = loaded(saved(trace));
+  EXPECT_EQ(back.instances[0].runs, (std::vector<SiRun>{{0, 1}, {1, 1}, {0, 1}}));
+  EXPECT_EQ(back.instances[1].runs, (std::vector<SiRun>{{1, 2}}));
+  EXPECT_EQ(back.instances[0].run_index.slots, 2u);
+  EXPECT_EQ(back.executions_of(1), 3u);
+}
+
+TEST(Trace, AppendCoalescesIntoMaximalRuns) {
+  HotSpotInstance inst{0, 0};
+  inst.append(3, 2);
+  inst.append(3);
+  inst.append(4, 0);  // nothing to append
+  inst.append(5);
+  inst.append(3);
+  EXPECT_EQ(inst.runs, (std::vector<SiRun>{{3, 3}, {5, 1}, {3, 1}}));
+  EXPECT_EQ(inst.execution_count(), 5u);
+  // A run holds at most 2^32 - 1 executions; the rest starts a new run.
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  inst.append(3, big);
+  EXPECT_EQ(inst.runs, (std::vector<SiRun>{{3, 3}, {5, 1}, {3, 0xffffffffu}, {3, 2}}));
+  EXPECT_EQ(inst.execution_count(), 5u + big);
 }
 
 TEST(Trace, RejectsV1FormatWithRegenerateMessage) {
@@ -162,25 +212,26 @@ TEST(Trace, RejectsV1FormatWithRegenerateMessage) {
   }
 }
 
-TEST(Trace, SerializedRunsMatchBuildRunsOnRealWorkloads) {
-  // Migration guarantee: for real traces (H.264 and JPEG) the serialized run
-  // form is exactly what build_runs() would compute from the executions.
+TEST(Trace, RejectsV2FormatWithRegenerateMessage) {
+  // A v2 file (executions stored next to the runs) has its own magic; it is
+  // rejected before anything after the magic is read.
+  std::string v2 = saved(tiny_trace());
+  const std::uint32_t v2_magic = 0x32545243;
+  v2.replace(0, sizeof v2_magic, reinterpret_cast<const char*>(&v2_magic), sizeof v2_magic);
+  try {
+    loaded(v2);
+    FAIL() << "v2 trace was not rejected";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("v2"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("regenerate"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Trace, LoadedRealWorkloadsMatchGenerated) {
+  // A saved-and-loaded real trace (H.264 and JPEG) has exactly the runs, run
+  // indexes and totals the generator produced.
   const auto check = [](const WorkloadTrace& generated) {
-    std::stringstream ss;
-    generated.save(ss);
-    const WorkloadTrace loaded = WorkloadTrace::load(ss);
-    WorkloadTrace rebuilt = loaded;
-    rebuilt.build_runs();
-    ASSERT_EQ(loaded.instances.size(), rebuilt.instances.size());
-    for (std::size_t i = 0; i < loaded.instances.size(); ++i) {
-      ASSERT_EQ(loaded.instances[i].runs.size(), rebuilt.instances[i].runs.size())
-          << "instance " << i;
-      for (std::size_t r = 0; r < loaded.instances[i].runs.size(); ++r) {
-        EXPECT_EQ(loaded.instances[i].runs[r].si, rebuilt.instances[i].runs[r].si);
-        EXPECT_EQ(loaded.instances[i].runs[r].count, rebuilt.instances[i].runs[r].count);
-      }
-    }
-    EXPECT_EQ(loaded.total_si_executions(), rebuilt.total_si_executions());
+    expect_same_trace(loaded(saved(generated)), generated);
   };
   {
     h264::WorkloadConfig config;
@@ -199,60 +250,60 @@ TEST(Trace, SerializedRunsMatchBuildRunsOnRealWorkloads) {
 }
 
 TEST(Trace, RejectsInconsistentRuns) {
-  // Runs whose counts do not sum to the execution count are corruption.
-  WorkloadTrace trace = tiny_trace();
-  trace.build_runs();
-  trace.instances[0].runs[0].count += 1;  // now sum(runs) != executions
-  std::stringstream ss;
-  trace.save(ss);
-  EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
+  // A run count changed after the file was sealed no longer matches the
+  // checksum.
+  const std::string good = saved(tiny_trace());
+  WorkloadTrace changed = tiny_trace();
+  changed.instances[0].runs[0].count += 1;
+  EXPECT_THROW(loaded(with_checksum_of(saved(changed), good)), std::logic_error);
+}
+
+TEST(Trace, RejectsFlippedInListRunSi) {
+  // A run whose SI flipped to another SI of the same hot spot passes every
+  // structural check; only the checksum catches it.
+  const std::string good = saved(tiny_trace());
+  WorkloadTrace flipped = tiny_trace();
+  flipped.instances[0].runs[1].si = 0;  // runs {0},{1},{0} become {0},{0},{0}
+  const std::string bad = with_checksum_of(saved(flipped), good);
+  ASSERT_EQ(bad.size(), good.size());
+  EXPECT_NO_THROW(loaded(saved(flipped)));  // structurally fine once resealed
+  try {
+    loaded(bad);
+    FAIL() << "flipped run SI was not rejected";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Trace, RejectsTrailingBytes) {
+  std::string bytes = saved(tiny_trace());
+  bytes.resize(bytes.size() - 8);
+  bytes += "x";
+  const std::uint64_t checksum = trace_checksum(bytes);
+  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+  EXPECT_THROW(loaded(bytes), std::logic_error);
 }
 
 TEST(Trace, RejectsRunOutsideItsHotSpotSis) {
   // Hot spot B lists only SI 1; a run of SI 0 in a B instance is corruption,
   // even though SI 0 is a valid id elsewhere in the trace.
   WorkloadTrace trace = tiny_trace();
-  trace.instances[1].executions = {0, 0};
-  trace.build_runs();
+  trace.instances[1] = HotSpotInstance{1, {0, 0}, 50};
+  trace.index_runs();
   EXPECT_EQ(trace.instances[1].run_index.slots, 0u);  // no index for such runs
-  std::stringstream ss;
-  trace.save(ss);
-  EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
-}
-
-TEST(Trace, RejectsRunsThatDisagreeWithTheirExecutions) {
-  // Run counts that sum to the execution count are not enough: each run's SI
-  // must match every execution it covers, or the batched and scalar replay
-  // paths would see two different traces.
-  {
-    // A wrong SI that is still in hot spot A's list.
-    WorkloadTrace trace = tiny_trace();
-    trace.build_runs();
-    trace.instances[0].runs[1].si = 0;
-    std::stringstream ss;
-    trace.save(ss);
-    EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
-  }
-  {
-    // An execution id that no run covers.
-    WorkloadTrace trace = tiny_trace();
-    trace.build_runs();
-    trace.instances[1].executions[1] = 7;
-    std::stringstream ss;
-    trace.save(ss);
-    EXPECT_THROW(WorkloadTrace::load(ss), std::logic_error);
-  }
+  EXPECT_THROW(loaded(saved(trace)), std::logic_error);
 }
 
 TEST(Trace, HugeLengthFieldsFailBeforeAllocating) {
   // Each length field is checked against the bytes left in the stream, so a
-  // corrupt count fails the load instead of asking for terabytes.
-  const auto stream_with = [](std::uint64_t executions, std::uint32_t name_length) {
-    std::stringstream ss;
-    const auto put = [&ss](const auto& v) {
-      ss.write(reinterpret_cast<const char*>(&v), sizeof v);
+  // corrupt count fails the load instead of asking for terabytes. The
+  // streams carry a valid checksum, so the length checks themselves fire.
+  const auto stream_with = [](std::uint64_t runs, std::uint32_t name_length) {
+    std::string bytes;
+    const auto put = [&bytes](const auto& v) {
+      bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
     };
-    put(std::uint32_t{0x32545243});  // v2 magic
+    put(std::uint32_t{0x33545243});  // v3 magic
     put(std::uint32_t{1});           // one hot spot
     put(name_length);
     put(std::uint32_t{1});  // its SI list: SI 0
@@ -261,13 +312,37 @@ TEST(Trace, HugeLengthFieldsFailBeforeAllocating) {
     put(std::uint64_t{1});  // one instance
     put(HotSpotId{0});
     put(Cycles{100});
-    put(executions);
-    return ss;
+    put(runs);
+    put(trace_checksum(bytes));
+    return bytes;
   };
-  auto huge_executions = stream_with(std::uint64_t{1} << 40, 0);
-  EXPECT_THROW(WorkloadTrace::load(huge_executions), std::logic_error);
-  auto huge_name = stream_with(1, 0xfffffff0u);
-  EXPECT_THROW(WorkloadTrace::load(huge_name), std::logic_error);
+  try {
+    loaded(stream_with(std::uint64_t{1} << 40, 0));
+    FAIL() << "huge run count was not rejected";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("length field"), std::string::npos) << e.what();
+  }
+  try {
+    loaded(stream_with(1, 0xfffffff0u));
+    FAIL() << "huge name length was not rejected";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("string length"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Trace, SaveTraceFileCreatesMissingDirectory) {
+  // A cache directory that does not exist yet is created, not silently
+  // skipped: the file written there loads back.
+  const std::filesystem::path root = std::filesystem::path(::testing::TempDir()) /
+                                     ("rispp_trace_dir_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  const std::filesystem::path file = root / "not" / "yet" / "trace.rtrc";
+  const WorkloadTrace trace = tiny_trace();
+  save_trace_file(trace, file);
+  const std::optional<WorkloadTrace> back = try_load_trace_file(file);
+  std::filesystem::remove_all(root);
+  ASSERT_TRUE(back.has_value());
+  expect_same_trace(*back, trace);
 }
 
 TEST(Trace, GeneratedRunsStayInsideTheirHotSpotSis) {

@@ -59,10 +59,9 @@ WorkloadTrace me_trace(const SpecialInstructionSet& set, int executions) {
   HotSpotInstance inst;
   inst.hot_spot = 0;
   inst.entry_overhead = 1000;
-  for (int i = 0; i < executions; ++i)
-    inst.executions.push_back(i % 8 == 7 ? satd : sad);
+  for (int i = 0; i < executions; ++i) inst.append(i % 8 == 7 ? satd : sad);
   trace.instances.push_back(std::move(inst));
-  trace.build_runs();
+  trace.index_runs();
   return trace;
 }
 
