@@ -32,6 +32,7 @@
 #include "sched/hef.h"
 #include "sched/registry.h"
 #include "select/selection.h"
+#include "select/selection_memo.h"
 #include "sim/executor.h"
 
 namespace {
@@ -163,6 +164,27 @@ void BM_SelectMolecules(benchmark::State& state) {
   state.SetLabel(std::to_string(state.range(0)) + " ACs");
 }
 BENCHMARK(BM_SelectMolecules)->Arg(8)->Arg(16)->Arg(24);
+
+// The same request answered by a trace's selection memo: every iteration
+// after the first is a hit (key build, shard lookup, copy out). The ratio to
+// BM_SelectMolecules is what the memo saves per repeated selection.
+void BM_SelectionMemoHit(benchmark::State& state) {
+  const auto& set = h264_set();
+  std::vector<SiId> sis;
+  for (SiId si = 0; si < set.si_count(); ++si) sis.push_back(si);
+  const std::vector<std::uint64_t> forecast(set.si_count(), 500);
+  const auto budget = static_cast<unsigned>(state.range(0));
+  SelectionMemo memo;
+  MemoizedSelection selector(&set, fingerprint(set));
+  std::vector<SiRef> out;
+  selector.select(memo, sis, forecast, budget, out);
+  for (auto _ : state) {
+    selector.select(memo, sis, forecast, budget, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetLabel(std::to_string(state.range(0)) + " ACs");
+}
+BENCHMARK(BM_SelectionMemoHit)->Arg(8)->Arg(16)->Arg(24);
 
 // The original O(rounds·|SIs|²·molecules·dim) greedy kept as the fuzz
 // oracle; the ratio to BM_SelectMolecules is the incremental rewrite's win.

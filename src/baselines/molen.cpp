@@ -12,6 +12,7 @@ SingleImplBackend::SingleImplBackend(const SpecialInstructionSet* set,
     : WindowedBackend(set->si_count(), monitor_, type_last_used_),
       set_(set),
       policy_(policy),
+      selector_(set, fingerprint(*set)),
       monitor_(hot_spot_count, set->si_count()),
       containers_(config.container_count, set->atom_type_count()),
       port_(&set->library(), config.bitstream),
@@ -38,19 +39,16 @@ void SingleImplBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_
   monitor_.begin_hot_spot(hs);
   const auto& forecast = monitor_.forecast(hs);
 
-  // Same accelerators as RISPP: identical selection under the same budget.
-  SelectionRequest sel_req;
-  sel_req.set = set_;
-  sel_req.hot_spot_sis = info.sis;
-  sel_req.expected_executions = forecast;
-  sel_req.container_count = containers_.size();
-  const std::vector<SiRef> selection = select_molecules(sel_req);
+  // Same accelerators as RISPP: identical selection under the same budget,
+  // from the same memo.
+  selector_.select(trace.selection_memo(), info.sis, forecast, containers_.size(),
+                   selection_);
 
   pending_loads_.clear();
   std::fill(unrequested_.begin(), unrequested_.end(), 0);
   std::fill(selected_molecule_.begin(), selected_molecule_.end(), kSoftwareMolecule);
   demand_ = Molecule(set_->atom_type_count());
-  for (const SiRef& s : selection) {
+  for (const SiRef& s : selection_) {
     selected_molecule_[s.si] = s.mol;
     demand_ = join(demand_, set_->si(s.si).molecule(s.mol).atoms);
   }
@@ -60,7 +58,7 @@ void SingleImplBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_
     // explicit reconfiguration instructions of the Molen model).
     ScheduleRequest order_req;
     order_req.set = set_;
-    order_req.selected = selection;
+    order_req.selected = selection_;
     order_req.available = containers_.ready_atoms();
     order_req.expected_executions = forecast;
     Molecule accumulated = containers_.ready_atoms();
@@ -77,7 +75,7 @@ void SingleImplBackend::on_hot_spot_entry(const WorkloadTrace& trace, std::size_
       if (other != hs) soft_demand_ = join(soft_demand_, hot_spot_sup_[other]);
   } else {
     // Configurations are requested lazily, at each SI's first use.
-    for (const SiRef& s : selection) unrequested_[s.si] = s.mol != kSoftwareMolecule;
+    for (const SiRef& s : selection_) unrequested_[s.si] = s.mol != kSoftwareMolecule;
   }
   cache_valid_ = false;
 

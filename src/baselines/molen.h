@@ -28,7 +28,7 @@
 #include "hw/bitstream.h"
 #include "hw/reconfig_port.h"
 #include "monitor/forecast.h"
-#include "select/selection.h"
+#include "select/selection_memo.h"
 #include "sim/window_replay.h"
 
 namespace rispp {
@@ -60,6 +60,7 @@ class SingleImplBackend : public WindowedBackend {
   void on_hot_spot_exit(Cycles now) final;
   Cycles si_execution_latency(SiId si, Cycles now) final;
   std::uint64_t completed_loads() const final { return port_.completed_loads(); }
+  Cycles worst_si_latency(SiId si) const final { return set_->si(si).worst_latency(); }
 
  private:
   void advance_reconfig(Cycles now);
@@ -72,10 +73,13 @@ class SingleImplBackend : public WindowedBackend {
 
   const SpecialInstructionSet* set_;
   LoadPolicy policy_;
+  MemoizedSelection selector_;
   ExecutionMonitor monitor_;
   ContainerFile containers_;
   ReconfigPort port_;
 
+  /// The current hot spot's selection, from the trace's selection memo.
+  std::vector<SiRef> selection_;
   /// The current selection's atoms, pinned against eviction.
   Molecule demand_;
   /// Prefetch only: the atoms the other hot spots last selected, spared

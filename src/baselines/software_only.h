@@ -31,6 +31,7 @@ class SoftwareOnlyBackend final : public ExecutionBackend {
       now += run.count * (set_->si(run.si).software_latency + per_execution_overhead);
     return now;
   }
+  Cycles worst_si_latency(SiId si) const override { return set_->si(si).software_latency; }
 
  private:
   const SpecialInstructionSet* set_;

@@ -32,6 +32,8 @@ class StaticAsipBackend final : public ExecutionBackend {
     return now;
   }
 
+  Cycles worst_si_latency(SiId si) const override { return best_latency_.at(si); }
+
   /// Total atoms the dedicated hardware would occupy (the paper's "overhead
   /// can easily grow twice the size of the original processor core").
   unsigned dedicated_atoms() const { return dedicated_atoms_; }

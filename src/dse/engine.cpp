@@ -131,7 +131,10 @@ EvalResult evaluate_candidate_naive(const config::PlatformSpec& spec,
                                     const WorkloadTrace& trace, Cycles reference_cycles,
                                     const DseOptions& options) {
   const SpecialInstructionSet set = config::build_platform(spec);  // no memo
-  return evaluate_set(set, trace, reference_cycles, trace_forecast_seeds(trace), options,
+  // A copy of the trace starts with an empty selection memo, so the oracle
+  // computes its own selections instead of reading the search's.
+  const WorkloadTrace copy = trace;
+  return evaluate_set(set, copy, reference_cycles, trace_forecast_seeds(copy), options,
                       design_slices(spec), ReplayMode::kScalar, /*decision_cache=*/false);
 }
 

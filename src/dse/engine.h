@@ -123,11 +123,12 @@ EvalResult evaluate_candidate(const config::PlatformSpec& spec, const WorkloadTr
 
 /// One naive full re-simulation of a candidate: builds the spec without the
 /// MakespanMemo and replays the trace at every AC budget through the scalar
-/// reference executor with the RTM decision cache off — no memoization at
-/// any layer. Bit-exact with the engine's fast path (asserted by the driver
-/// self-check and tests), so it serves both as the throughput baseline the
-/// bench compares against and as the oracle the equivalence tests fuzz
-/// with. Throws std::logic_error for invalid specs.
+/// reference executor with the RTM decision cache off, on a copy of the
+/// trace whose selection memo starts empty — no result memoized by an
+/// earlier evaluation is reused. Bit-exact with the engine's fast path
+/// (asserted by the driver self-check and tests), so it serves both as the
+/// throughput baseline the bench compares against and as the oracle the
+/// equivalence tests fuzz with. Throws std::logic_error for invalid specs.
 EvalResult evaluate_candidate_naive(const config::PlatformSpec& spec,
                                     const WorkloadTrace& trace, Cycles reference_cycles,
                                     const DseOptions& options);

@@ -138,6 +138,10 @@ void SessionBatch::run_block(const Block& block) {
       stats_[block.sessions[i]] = std::make_unique<SimStats>(entry.set.si_count());
   }
 
+  // Every session replays the cohort's trace on an RTM over the cohort's SI
+  // set, so one check bounds the whole block's simulated time.
+  check_replay_fits(trace, *backends.front());
+
   // Instance-major stepping: the shared instance (and its run array) stays
   // cache-resident while every session of the block consumes it. Each
   // session's state evolves through sim::replay_instance — the same body as

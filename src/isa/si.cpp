@@ -17,6 +17,12 @@ Cycles SpecialInstruction::latency(MoleculeId m) const {
   return molecule(m).latency;
 }
 
+Cycles SpecialInstruction::worst_latency() const {
+  Cycles worst = software_latency;
+  for (const MoleculeImpl& m : molecules) worst = std::max(worst, m.latency);
+  return worst;
+}
+
 SpecialInstructionSet::SpecialInstructionSet(AtomLibrary library)
     : library_(std::make_unique<AtomLibrary>(std::move(library))) {}
 

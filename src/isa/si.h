@@ -36,6 +36,8 @@ struct SpecialInstruction {
 
   const MoleculeImpl& molecule(MoleculeId m) const;
   Cycles latency(MoleculeId m) const;  // kSoftwareMolecule -> software_latency
+  /// The slowest of its implementations, the trap included.
+  Cycles worst_latency() const;
 };
 
 /// A concrete implementation choice: one SI plus one of its molecules.

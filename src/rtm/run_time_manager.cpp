@@ -24,6 +24,7 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
     : WindowedBackend(set->si_count(), monitor_, type_last_used_),
       set_(set),
       config_(config),
+      selector_(set, fingerprint(*set)),
       monitor_(hot_spot_count, set->si_count()),
       seeds_(hot_spot_count, std::vector<std::uint64_t>(set->si_count(), 0)),
       containers_(config.arbiter != nullptr ? 0 : config.container_count,
@@ -68,7 +69,7 @@ RunTimeManager::RunTimeManager(const SpecialInstructionSet* set, std::size_t hot
         config_.payback_horizon;
   if (config_.shared_decision_cache != nullptr)
     shared_domain_ = config_.shared_decision_cache->register_domain(
-        fingerprint(*set_), config_.scheduler->name(), payback_cycles_per_atom_,
+        selector_.set_fingerprint(), config_.scheduler->name(), payback_cycles_per_atom_,
         rtm_domain_digest(config_));
 }
 
@@ -91,6 +92,7 @@ void RunTimeManager::on_hot_spot_entry(const WorkloadTrace& trace, std::size_t i
   const HotSpotId hs = trace.instances[instance].hot_spot;
   const HotSpotInfo& info = trace.hot_spots[hs];
   bind_instance(trace.instances[instance], info);
+  trace_ = &trace;
   // First-order successor prediction for prefetching.
   if (seen_any_hot_spot_) successor_[current_hot_spot_] = hs;
   current_hot_spot_ = hs;
@@ -405,12 +407,7 @@ void RunTimeManager::compute_decision(const std::vector<SiId>& sis,
   // Wall-clock cost of the uncached selection→schedule pipeline; cache hits
   // never get here, so this is the tail the memo layers are hiding.
   const auto started = std::chrono::steady_clock::now();
-  SelectionRequest sel_req;
-  sel_req.set = set_;
-  sel_req.hot_spot_sis = sis;
-  sel_req.expected_executions = forecast;
-  sel_req.container_count = budget;
-  out.selection = select_molecules(sel_req);
+  selector_.select(trace_->selection_memo(), sis, forecast, budget, out.selection);
 
   ScheduleRequest sched_req;
   sched_req.set = set_;

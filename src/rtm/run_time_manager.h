@@ -28,7 +28,7 @@
 #include "monitor/forecast.h"
 #include "rtm/fabric_arbiter.h"
 #include "sched/schedule.h"
-#include "select/selection.h"
+#include "select/selection_memo.h"
 #include "sim/window_replay.h"
 
 namespace rispp {
@@ -121,6 +121,7 @@ class RunTimeManager final : public WindowedBackend {
     return config_.arbiter != nullptr ? config_.arbiter->completed_loads(config_.tenant)
                                       : port_.completed_loads();
   }
+  Cycles worst_si_latency(SiId si) const override { return set_->si(si).worst_latency(); }
 
   // -- Introspection (tests, Figure 8 analysis) ------------------------
   const Molecule& ready_atoms() const { return cf_->ready_atoms(); }
@@ -174,13 +175,16 @@ class RunTimeManager final : public WindowedBackend {
   const fleet::SharedDecision& decide(const std::vector<SiId>& sis,
                                       const std::vector<std::uint64_t>& forecast,
                                       unsigned budget);
-  /// The uncached selection→schedule pipeline behind decide().
+  /// The uncached selection→schedule pipeline behind decide(). The
+  /// selection comes from the replayed trace's selection memo.
   void compute_decision(const std::vector<SiId>& sis,
                         const std::vector<std::uint64_t>& forecast, unsigned budget,
                         const Molecule& ready, fleet::SharedDecision& out);
 
   const SpecialInstructionSet* set_;
   RtmConfig config_;
+  MemoizedSelection selector_;   // also holds the set's fingerprint
+  const WorkloadTrace* trace_ = nullptr;  // the trace of the last hot-spot entry
   ExecutionMonitor monitor_;
   std::vector<std::vector<std::uint64_t>> seeds_;  // design-time profile copy
   ContainerFile containers_;  // solo mode only (empty under an arbiter)

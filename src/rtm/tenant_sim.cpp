@@ -19,6 +19,7 @@ std::vector<SimResult> run_tenants(FabricArbiter& arbiter, std::span<TenantRun> 
   std::size_t live = 0;
   for (std::size_t i = 0; i < n; ++i) {
     RISPP_CHECK(tenants[i].trace != nullptr && tenants[i].rtm != nullptr);
+    check_replay_fits(*tenants[i].trace, *tenants[i].rtm);
     results[i].hot_spot_cycles.assign(tenants[i].trace->hot_spots.size(), 0);
     if (tenants[i].trace->instances.empty()) {
       // Zero instances: finalize with run_trace's semantics (the clock never

@@ -32,6 +32,35 @@ Cycles ExecutionBackend::si_execution_span(std::span<const SiRun> runs, Cycles n
   return now;
 }
 
+void check_replay_fits(const WorkloadTrace& trace, const ExecutionBackend& backend) {
+  Cycles total = 0;
+  bool wraps = false;
+  const auto add = [&](Cycles cycles, std::uint64_t times) {
+    Cycles product = 0;
+    wraps = wraps || __builtin_mul_overflow(cycles, times, &product) ||
+            __builtin_add_overflow(total, product, &total);
+  };
+  for (const HotSpotInstance& inst : trace.instances) {
+    const HotSpotInfo& info = trace.hot_spots[inst.hot_spot];
+    add(inst.entry_overhead, 1);
+    add(info.per_execution_overhead, inst.execution_count());
+    const RunIndex& index = inst.run_index;
+    if (index.slots > 0) {
+      // The index's last row holds each listed SI's executions.
+      const std::uint32_t* executions = index.checkpoint(index.blocks());
+      for (std::size_t j = 0; j < index.slots; ++j)
+        add(backend.worst_si_latency(info.sis[j]), executions[j]);
+    } else {
+      for (const SiRun& run : inst.runs) add(backend.worst_si_latency(run.si), run.count);
+    }
+  }
+  RISPP_CHECK_MSG(!wraps && total <= kMaxReplayCycles,
+                  "replaying this trace on " << backend.name()
+                                             << " could wrap simulated time: its overheads "
+                                                "plus executions times worst SI latencies "
+                                                "exceed 2^62 cycles");
+}
+
 namespace {
 
 /// One simulated-time trace row per replay run: a 'B'/'E' span per hot-spot
@@ -128,6 +157,7 @@ Cycles replay_instance(const WorkloadTrace& trace, std::size_t instance,
 
 SimResult run_trace(const WorkloadTrace& trace, ExecutionBackend& backend, SimStats* stats,
                     ReplayMode mode) {
+  check_replay_fits(trace, backend);
   SimResult result;
   result.hot_spot_cycles.assign(trace.hot_spots.size(), 0);
   const InstanceTraceRow row(trace, backend);

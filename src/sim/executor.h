@@ -92,7 +92,25 @@ class ExecutionBackend {
 
   /// Completed atom loads so far (0 for baselines without reconfiguration).
   virtual std::uint64_t completed_loads() const { return 0; }
+
+  /// The most cycles one execution of `si` can take on this backend, for
+  /// check_replay_fits. 0 when the backend cannot tell (a decorator that
+  /// does not forward it), which leaves only the trace's overheads checked.
+  virtual Cycles worst_si_latency(SiId) const { return 0; }
 };
+
+/// The latest simulated cycle a replay may reach. Far enough below 2^64 that
+/// a port event after it plus one execution step cannot wrap either.
+inline constexpr Cycles kMaxReplayCycles = Cycles{1} << 62;
+
+/// Fails closed (RISPP_CHECK, with a message) when replaying `trace` on
+/// `backend` could pass kMaxReplayCycles: the trace's overheads plus, per SI,
+/// its executions times the backend's worst latency for it. A wrapped clock
+/// would give wrong cycle counts on every path and stall the window replay.
+/// One check per replay, O(instances x hot-spot SIs) on indexed traces:
+/// run_trace, the fleet's session batch and run_tenants call it before
+/// replaying anything.
+void check_replay_fits(const WorkloadTrace& trace, const ExecutionBackend& backend);
 
 enum class ReplayMode {
   kScalar,   // one backend call per SI execution (reference path)

@@ -11,11 +11,13 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <system_error>
 
 #include "base/check.h"
+#include "select/selection_memo.h"
 
 namespace rispp {
 namespace {
@@ -200,6 +202,19 @@ void WorkloadTrace::index_runs() {
     inst.run_index = build_run_index(inst.runs, hot_spots[inst.hot_spot].sis);
   }
 }
+
+SelectionMemo& WorkloadTrace::selection_memo() const { return selection_memo_.get(); }
+
+SelectionMemo& WorkloadTrace::MemoSlot::get() {
+  SelectionMemo* memo = memo_.load();
+  if (memo != nullptr) return *memo;
+  // Concurrent first callers race to install one; the losers use the winner's.
+  auto fresh = std::make_unique<SelectionMemo>();
+  if (memo_.compare_exchange_strong(memo, fresh.get())) return *fresh.release();
+  return *memo;
+}
+
+void WorkloadTrace::MemoSlot::reset(SelectionMemo* memo) noexcept { delete memo_.exchange(memo); }
 
 void WorkloadTrace::save(std::ostream& os) const {
   std::string out;

@@ -15,6 +15,7 @@
 // the scalar reference expands each run into one call per execution.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
@@ -27,6 +28,8 @@
 #include "monitor/forecast.h"
 
 namespace rispp {
+
+class SelectionMemo;  // select/selection_memo.h
 
 /// A run of consecutive identical SI executions.
 struct SiRun {
@@ -137,8 +140,39 @@ struct WorkloadTrace {
   void save(std::ostream& os) const;
   static WorkloadTrace load(std::istream& is);
 
+  /// The memo of the molecule selections made while replaying this trace
+  /// (select/selection_memo.h), created by the first call. Every backend
+  /// that replays this object shares it, so each distinct selection is
+  /// computed once per trace. A copy starts with an empty memo; a move takes
+  /// the memo along.
+  SelectionMemo& selection_memo() const;
+
  private:
+  /// Owner of selection_memo(): null until the first call installs one.
+  class MemoSlot {
+   public:
+    MemoSlot() = default;
+    MemoSlot(const MemoSlot&) {}
+    MemoSlot(MemoSlot&& other) noexcept : memo_(other.memo_.exchange(nullptr)) {}
+    MemoSlot& operator=(const MemoSlot&) {
+      reset(nullptr);
+      return *this;
+    }
+    MemoSlot& operator=(MemoSlot&& other) noexcept {
+      reset(other.memo_.exchange(nullptr));
+      return *this;
+    }
+    ~MemoSlot() { reset(nullptr); }
+
+    SelectionMemo& get();
+
+   private:
+    void reset(SelectionMemo* memo) noexcept;
+    std::atomic<SelectionMemo*> memo_{nullptr};
+  };
+
   std::vector<std::uint64_t> executions_per_si_;  // by SiId, from index_runs()
+  mutable MemoSlot selection_memo_;
 };
 
 /// The 64-bit content checksum a v3 trace file ends with, over `bytes` (the

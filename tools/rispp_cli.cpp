@@ -32,6 +32,7 @@
 #include "isa/h264_si_library.h"
 #include "rtm/run_time_manager.h"
 #include "sched/registry.h"
+#include "select/selection.h"
 #include "sim/executor.h"
 
 namespace {
